@@ -12,17 +12,26 @@ kind two-colors a cell-level constraint graph (faces, vertices or
 edges carry a binary "circular direction" and every crossing imposes a
 parity relation), which is exactly the existence question for the
 matching arrow assignment.
+
+Both routes run on the orbit kernel of flagsys (flagsys._orbits), which
+gives every flag a bitmask potential relative to the smallest flag of
+its orbit.  A coloring is a one-bit potential.  coloring_group is a
+single pass: with flip 1<<j on letter j, every edge leaves a cycle mask
+pot[f] ^ pot[r_j f] ^ (1<<j), and T(M) is the set of color sets with
+even overlap against every cycle mask.  The masks fit a uint64, so
+coloring_group handles rank up to 63; its cost is linear in the flag
+count and polynomial in the rank, apart from listing the group itself.
+The tests keep a pure-Python union-find and BFS reference for every
+function built on the kernel.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from ._uf import ParityDisjointSets
 from .errors import (
     BadParameters,
     ClosureViolation,
@@ -30,7 +39,15 @@ from .errors import (
     RankMismatch,
     RankNotTwo,
 )
-from .flagsys import Cell, FlagSystem, apply_word, cell_labels
+from .flagsys import (
+    Cell,
+    FlagSystem,
+    _cycle_basis,
+    _orbits,
+    _root_labels,
+    apply_word,
+    cell_labels,
+)
 
 __all__ = [
     "ColorSet",
@@ -211,31 +228,18 @@ def _as_color_set(system: FlagSystem, color_set) -> ColorSet:
 
 
 def find_coloring(system: FlagSystem, color_set) -> Coloring | None:
-    """Breadth-first parity propagation from flag 0 with color 0 there.
+    """Parity potentials of the orbit kernel, with flag 0 colored 0.
 
     Returns the canonical I-coloring, or None when some cycle forces a
     contradiction.  The only other coloring is its complement.
     """
     cs = _as_color_set(system, color_set)
-    n = system.flag_count
-    colors = np.full(n, -1, dtype=np.int8)
-    colors[0] = 0
-    flips = [1 if j in cs else 0 for j in range(system.rank + 1)]
-    conns = system.connections
-    queue = deque([0])
-    while queue:
-        f = queue.popleft()
-        cf = int(colors[f])
-        for j in range(system.rank + 1):
-            g = int(conns[j][f])
-            want = cf ^ flips[j]
-            have = colors[g]
-            if have < 0:
-                colors[g] = want
-                queue.append(g)
-            elif have != want:
-                return None
-    return Coloring(color_set=cs, assignment=colors.astype(np.uint8))
+    letters = [(None, c) for c in system.connections]
+    flips = [int(j in cs) for j in range(system.rank + 1)]
+    _, colors, _ = _orbits(system.flag_count, letters, flips)
+    if _cycle_basis(colors, letters, flips):
+        return None
+    return Coloring(color_set=cs, assignment=colors)
 
 
 def is_valid_coloring(system: FlagSystem, color_set, assignment) -> bool:
@@ -254,13 +258,43 @@ def is_valid_coloring(system: FlagSystem, color_set, assignment) -> bool:
     return True
 
 
+def _orthogonal_group(rank: int, cycles) -> ColoringGroup:
+    """Color sets with even overlap against every mask in `cycles`.
+
+    Gauss-Jordan elimination over GF(2) puts the cycle masks in reduced
+    form; each non-pivot index b then yields the generator 1<<b plus the
+    pivots of the rows containing b, and those generators span exactly
+    the orthogonal complement.
+    """
+    rows: dict[int, int] = {}
+    for c in cycles:
+        for pivot, row in rows.items():
+            if c >> pivot & 1:
+                c ^= row
+        if not c:
+            continue
+        pivot = c.bit_length() - 1
+        for p, row in rows.items():
+            if row >> pivot & 1:
+                rows[p] = row ^ c
+        rows[pivot] = c
+    gens = []
+    for b in range(rank + 1):
+        if b not in rows:
+            gens.append((1 << b) | sum(1 << p for p, row in rows.items() if row >> b & 1))
+    return subgroup_closure(rank, gens)
+
+
+def _letter_group(system: FlagSystem, letters) -> ColoringGroup:
+    """T of the graph whose edge groups `letters` are crossings of r_0..r_rank."""
+    flips = [1 << j for j in range(system.rank + 1)]
+    _, pot, _ = _orbits(system.flag_count, letters, flips)
+    return _orthogonal_group(system.rank, _cycle_basis(pot, letters, flips))
+
+
 def coloring_group(system: FlagSystem) -> ColoringGroup:
     """All color sets admitting a coloring; verified to be a subgroup."""
-    members = []
-    for mask in range(1 << (system.rank + 1)):
-        if find_coloring(system, ColorSet(system.rank, mask)) is not None:
-            members.append(mask)
-    return ColoringGroup(rank=system.rank, masks=frozenset(members))
+    return _letter_group(system, [(None, c) for c in system.connections])
 
 
 def coloring_group_excluding_cell(system: FlagSystem, face: Cell) -> ColoringGroup:
@@ -274,40 +308,13 @@ def coloring_group_excluding_cell(system: FlagSystem, face: Cell) -> ColoringGro
         raise RankNotTwo(system.rank, "coloring_group_excluding_cell")
     if face.dimension != 2:
         raise BadParameters(f"expected a face cell, got dimension {face.dimension}")
-    removed = np.zeros(system.flag_count, dtype=bool)
-    removed[list(face.flags)] = True
-    conns = system.connections
-    members = []
-    for mask in range(1 << (system.rank + 1)):
-        cs = ColorSet(system.rank, mask)
-        flips = [1 if j in cs else 0 for j in range(system.rank + 1)]
-        colors = np.full(system.flag_count, -1, dtype=np.int8)
-        ok = True
-        for start in range(system.flag_count):
-            if removed[start] or colors[start] >= 0:
-                continue
-            colors[start] = 0
-            queue = deque([start])
-            while ok and queue:
-                f = queue.popleft()
-                cf = int(colors[f])
-                for j in range(system.rank + 1):
-                    g = int(conns[j][f])
-                    if removed[g]:
-                        continue
-                    want = cf ^ flips[j]
-                    have = colors[g]
-                    if have < 0:
-                        colors[g] = want
-                        queue.append(g)
-                    elif have != want:
-                        ok = False
-                        break
-            if not ok:
-                break
-        if ok:
-            members.append(mask)
-    return ColoringGroup(rank=system.rank, masks=frozenset(members))
+    kept = np.ones(system.flag_count, dtype=bool)
+    kept[list(face.flags)] = False
+    letters = []
+    for conn in system.connections:
+        src = np.nonzero(kept & kept[conn])[0]
+        letters.append((src, conn[src]))
+    return _letter_group(system, letters)
 
 
 def cycle_consistent(system: FlagSystem, flag: int, word, color_set) -> bool:
@@ -357,27 +364,12 @@ def _alternating_reference(system: FlagSystem, inner) -> np.ndarray:
     """Per-flag bit alternating across both `inner` connections.
 
     Within each cell spanned by the two connections this fixes one of
-    the two possible circular directions; cells are even alternating
-    cycles, so the BFS never clashes.
+    the two possible circular directions, with bit 0 on the cell's
+    smallest flag; cells are even alternating cycles, so the parity
+    never clashes.
     """
-    n = system.flag_count
-    ref = np.full(n, -1, dtype=np.int8)
-    conns = system.connections
-    for start in range(n):
-        if ref[start] >= 0:
-            continue
-        ref[start] = 0
-        queue = deque([start])
-        while queue:
-            f = queue.popleft()
-            rf = int(ref[f])
-            for j in inner:
-                g = int(conns[j][f])
-                if ref[g] < 0:
-                    ref[g] = rf ^ 1
-                    queue.append(g)
-                else:
-                    assert ref[g] == rf ^ 1, "cell walk failed to alternate"
+    letters = [(None, system.connections[j]) for j in inner]
+    _, ref, _ = _orbits(system.flag_count, letters, [1] * len(letters))
     return ref
 
 
@@ -388,36 +380,27 @@ def direct_pso(system: FlagSystem, kind: str) -> ArrowAssignment | None:
     connections, so it carries exactly two circular directions; a
     reference direction is fixed per cell and every crossing of the
     remaining connection relates the direction bits of the two cells it
-    joins.  The relations feed a parity union-find over cells.
+    joins.  The orbit kernel solves those relations on the cell graph;
+    each component's bits are anchored at 0 on its smallest cell.
     """
     if system.rank != 2:
         raise RankNotTwo(system.rank, "direct_pso")
     if kind not in PSO_KINDS:
         raise BadParameters(f"unknown pseudo-orientation kind {kind!r}")
     dim, inner, crossing, flip = PSO_KINDS[kind]
-    labels, count = cell_labels(system, omit=dim)
-    n = system.flag_count
-    ref = _alternating_reference(system, inner)
-    conns = system.connections
-
-    uf = ParityDisjointSets(count)
-    cross = conns[crossing]
-    for f in range(n):
-        g = int(cross[f])
-        # The direction bits must satisfy bit[A] ^ bit[B] = flip ^ ref[f] ^ ref[g]
-        # so that the induced flag coloring crosses r_crossing with parity flip.
-        relation = flip ^ int(ref[f]) ^ int(ref[g])
-        if not uf.union(int(labels[f]), int(labels[g]), relation):
-            return None
-
-    # Resolve direction bits, anchored at the smallest cell of each component.
-    anchor_parity: dict[int, int] = {}
-    bits = np.zeros(count, dtype=np.uint8)
-    for c in range(count):
-        root, parity = uf.relation(c)
-        if root not in anchor_parity:
-            anchor_parity[root] = parity
-        bits[c] = parity ^ anchor_parity[root]
+    # The inner letters are exactly those spanning a dimension-dim cell, so
+    # one pass yields the cells (by smallest flag) and the reference bits.
+    letters = [(None, system.connections[j]) for j in inner]
+    root, ref, _ = _orbits(system.flag_count, letters, [1, 1])
+    labels, count = _root_labels(root)
+    cross = system.connections[crossing]
+    # The direction bits must satisfy bit[A] ^ bit[B] = flip ^ ref[f] ^ ref[g]
+    # so that the induced flag coloring crosses r_crossing with parity flip.
+    edges = [(labels, labels[cross])]
+    relations = [flip ^ ref ^ ref[cross]]
+    _, bits, _ = _orbits(count, edges, relations)
+    if _cycle_basis(bits, edges, relations):
+        return None
     return ArrowAssignment(kind=kind, cell_dimension=dim, arrows=bits)
 
 
@@ -431,26 +414,6 @@ def i_face_bipartite(system: FlagSystem, i: int) -> bool:
     if not 0 <= i <= system.rank:
         raise BadParameters(f"index {i} out of range 0..{system.rank}")
     labels, count = cell_labels(system, omit=i)
-    adj: list[set[int]] = [set() for _ in range(count)]
-    conn = system.connections[i]
-    for f in range(system.flag_count):
-        a, b = int(labels[f]), int(labels[conn[f]])
-        if a == b:
-            return False
-        adj[a].add(b)
-        adj[b].add(a)
-    side = [-1] * count
-    for start in range(count):
-        if side[start] >= 0:
-            continue
-        side[start] = 0
-        queue = deque([start])
-        while queue:
-            c = queue.popleft()
-            for d in adj[c]:
-                if side[d] < 0:
-                    side[d] = side[c] ^ 1
-                    queue.append(d)
-                elif side[d] == side[c]:
-                    return False
-    return True
+    edges = [(labels, labels[system.connections[i]])]
+    _, side, _ = _orbits(count, edges, [1])
+    return not _cycle_basis(side, edges, [1])

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._uf import DisjointSets
 from .coloring import ColorSet, find_coloring
 from .errors import (
     BadParameters,
@@ -26,7 +25,7 @@ from .errors import (
     ValidationError,
     VertexBipartite,
 )
-from .flagsys import FlagSystem, deck_transformations, validate
+from .flagsys import FlagSystem, _orbits, deck_transformations, validate
 
 __all__ = [
     "DoubleResult",
@@ -88,21 +87,15 @@ def i_double(system: FlagSystem, color_set) -> DoubleResult:
             s[2 * ids + 1] = 2 * conn + 1
         lifted.append(s)
 
-    uf = DisjointSets(2 * n)
-    for s in lifted:
-        for f in range(2 * n):
-            uf.union(f, int(s[f]))
-    if uf.count == 1:
+    root, _, _ = _orbits(2 * n, [(None, s) for s in lifted])
+    if not root.any():
         doubled = validate(system.rank, 2 * n, lifted)
         return DoubleResult(
             split=False, system=doubled, projection=np.arange(2 * n, dtype=np.intp) // 2
         )
 
     # Disconnected: two mirror copies.  Keep the one holding flag (0, 0).
-    root = uf.find(0)
-    members = np.array(
-        [f for f in range(2 * n) if uf.find(f) == root], dtype=np.intp
-    )
+    members = np.nonzero(root == 0)[0]
     lab = np.full(2 * n, -1, dtype=np.intp)
     lab[members] = np.arange(members.size, dtype=np.intp)
     part = validate(system.rank, members.size, [lab[s[members]] for s in lifted])

@@ -78,12 +78,16 @@ def parse_flag_text(text: str) -> FlagSystem:
         if len(tokens) != count:
             raise FlagFileError(lineno, len(head) + 2,
                                 f"connection r{i} lists {len(tokens)} images, expected {count}")
-        row = []
-        column = len(head) + 2
-        for tok in tokens:
-            column = raw.index(tok, column - 1) + 1
-            row.append(_int_field(tok, lineno, column, "flag image"))
-            column += len(tok)
+        try:
+            row = list(map(int, tokens))
+        except ValueError:
+            # Convert token by token to report where the bad one sits.
+            row = []
+            column = len(head) + 2
+            for tok in tokens:
+                column = raw.index(tok, column - 1) + 1
+                row.append(_int_field(tok, lineno, column, "flag image"))
+                column += len(tok)
         connections.append(row)
 
     if pos < len(lines):
@@ -96,7 +100,7 @@ def write_flag_text(system: FlagSystem) -> str:
     """Canonical text form; parse(write(M)) round-trips byte-for-byte."""
     out = [f"rank {system.rank}", f"flags {system.flag_count}"]
     for i, conn in enumerate(system.connections):
-        out.append(f"r{i}: " + " ".join(str(int(v)) for v in conn))
+        out.append(f"r{i}: " + " ".join(map(str, conn.tolist())))
     return "\n".join(out) + "\n"
 
 

@@ -11,6 +11,15 @@ validate():
 
 Rank 2 systems are maps on closed surfaces; cells of dimension 0, 1, 2
 are vertices, edges, faces.
+
+Every orbit question in the package (connectivity, cells, colorings,
+T(M), pseudo-orientations, splitting of doubles) is answered by one
+private numpy kernel, _orbits.  It takes nodes 0..n-1 and groups of
+undirected edges, optionally with an XOR bitmask per edge, and returns
+for every node the smallest node of its orbit plus its bitmask
+potential relative to that node.  It hooks roots onto smaller
+neighbouring roots and pointer-jumps (Shiloach-Vishkin), so a handful of
+whole-array passes replace one Python step per flag.
 """
 
 from __future__ import annotations
@@ -19,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._uf import DisjointSets
 from .errors import (
     BadParameters,
     Disconnected,
@@ -83,6 +91,87 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _orbits(n: int, edges, flips=None):
+    """Orbits of nodes 0..n-1 under undirected edges, with XOR potentials.
+
+    `edges` lists edge groups as (src, dst) index arrays; src None stands
+    for every node in order, so a connection array is a group by itself.
+    Each group must list every edge in both directions, as an involution
+    does.  `flips`, when given, holds one entry per group: an int bitmask
+    or an array with one mask per edge, equal on both directions.  The
+    potentials then satisfy pot[src] ^ pot[dst] == flip along a spanning
+    forest of the edges; on every other edge the XOR of both potentials
+    and the flip is a cycle mask (see _cycle_basis), all of them zero
+    exactly when the relations are consistent.
+
+    Each sweep takes the groups in turn.  Every root adjacent to a
+    smaller root hooks onto the smallest such root, taking its potential
+    from one witness edge, then pointer jumping runs until each node
+    points at its root, XOR-ing potentials along every jump.  Sweeps
+    repeat until one hooks nothing.  Potentials use the narrowest
+    unsigned dtype that holds every flip, up to 64 bits.
+
+    Returns (root, pot, rounds): root[x] is the smallest node of x's
+    orbit, pot is None without flips, and rounds counts the sweeps that
+    hooked at least one root.
+    """
+    parent = np.arange(n, dtype=np.intp)
+    pot = None
+    if flips is not None:
+        top = max((int(np.max(w, initial=0)) for w in flips), default=0)
+        pot = np.zeros(n, dtype=np.min_scalar_type(top))
+    rounds = 0
+    while True:
+        hooked = False
+        for k, (src, dst) in enumerate(edges):
+            a = parent if src is None else parent[src]
+            b = parent[dst]
+            # Both directions are listed, so hooking from the larger end suffices.
+            sel = np.flatnonzero(a > b)
+            if not sel.size:
+                continue
+            hooked = True
+            hi, lo = a[sel], b[sel]
+            del a, b  # keep at most two full-length temporaries alive
+            np.minimum.at(parent, hi, lo)
+            if pot is not None:
+                w = flips[k]
+                d = pot[sel if src is None else src[sel]] ^ pot[dst[sel]]
+                d ^= w[sel] if np.ndim(w) else w
+                win = parent[hi] == lo
+                pot[hi[win]] = d[win]
+            while True:
+                grand = parent[parent]
+                if (grand == parent).all():
+                    break
+                if pot is not None:
+                    pot ^= pot[parent]
+                parent = grand
+        if not hooked:
+            return parent, pot, rounds
+        rounds += 1
+
+
+def _cycle_basis(pot: np.ndarray, edges, flips) -> list[int]:
+    """GF(2) basis of the masks pot[src] ^ pot[dst] ^ flip over every edge.
+
+    After _orbits these masks are the XOR sums of flips around cycles of
+    the edge graph and span its whole cycle space, so the basis is empty
+    exactly when the relations are consistent.  Each basis mask clears
+    its highest bit from every later residual.
+    """
+    basis: list[int] = []
+    for (src, dst), w in zip(edges, flips):
+        res = (pot if src is None else pot[src]) ^ pot[dst]
+        res ^= w
+        for c in basis:
+            res ^= (res >> (c.bit_length() - 1) & 1) * c
+        while c := int(res.max(initial=0)):
+            basis.append(c)
+            res ^= (res >> (c.bit_length() - 1) & 1) * c
+    return basis
+
+
 def validate(rank: int, flag_count: int, raw_connections) -> FlagSystem:
     """Check the axioms and return the immutable system.
 
@@ -125,12 +214,10 @@ def validate(rank: int, flag_count: int, raw_connections) -> FlagSystem:
             agree = np.nonzero(ri == rj)[0]
             if agree.size:
                 raise NotDisjoint(i, j, int(agree[0]))
-    uf = DisjointSets(flag_count)
-    for arr in conns:
-        for f in range(flag_count):
-            uf.union(f, int(arr[f]))
-    if uf.count != 1:
-        raise Disconnected(uf.count)
+    root, _, _ = _orbits(flag_count, [(None, c) for c in conns])
+    components = np.count_nonzero(root == ident)
+    if components != 1:
+        raise Disconnected(int(components))
     return FlagSystem(rank=rank, connections=tuple(_freeze(c) for c in conns))
 
 
@@ -156,21 +243,15 @@ def cell_labels(system: FlagSystem, omit: int) -> tuple[np.ndarray, int]:
     Cells are numbered 0.. in order of their smallest contained flag.
     Returns (labels array, cell count).
     """
-    n = system.flag_count
-    uf = DisjointSets(n)
-    for i, conn in enumerate(system.connections):
-        if i == omit:
-            continue
-        for f in range(n):
-            uf.union(f, int(conn[f]))
-    labels = np.empty(n, dtype=np.intp)
-    order: dict[int, int] = {}
-    for f in range(n):
-        root = uf.find(f)
-        if root not in order:
-            order[root] = len(order)
-        labels[f] = order[root]
-    return labels, len(order)
+    letters = [(None, c) for i, c in enumerate(system.connections) if i != omit]
+    root, _, _ = _orbits(system.flag_count, letters)
+    return _root_labels(root)
+
+
+def _root_labels(root: np.ndarray) -> tuple[np.ndarray, int]:
+    """Orbits of an _orbits root array numbered 0.. by their smallest node."""
+    number = np.cumsum(root == np.arange(root.size)) - 1
+    return number[root], int(number[-1]) + 1
 
 
 def cells(system: FlagSystem, i: int) -> list[Cell]:
@@ -178,10 +259,9 @@ def cells(system: FlagSystem, i: int) -> list[Cell]:
     if not 0 <= i <= system.rank:
         raise BadParameters(f"cell dimension {i} out of range 0..{system.rank}")
     labels, count = cell_labels(system, i)
-    buckets: list[list[int]] = [[] for _ in range(count)]
-    for f in range(system.flag_count):
-        buckets[labels[f]].append(f)
-    return [Cell(dimension=i, flags=tuple(b)) for b in buckets]
+    order = np.argsort(labels, kind="stable")
+    ends = np.cumsum(np.bincount(labels, minlength=count))[:-1]
+    return [Cell(dimension=i, flags=tuple(b.tolist())) for b in np.split(order, ends)]
 
 
 def euler_characteristic(system: FlagSystem) -> int:

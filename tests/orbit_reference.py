@@ -1,0 +1,290 @@
+"""Pure-Python union-find and BFS reference for the orbit kernel.
+
+These are the per-flag loops that flagsys, coloring and doubles used
+before they moved onto one numpy kernel.  The bodies are kept as they
+were so that the equivalence tests compare the kernel against an
+independent implementation, and direct_pso and find_coloring keep being
+checked by a second route.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+
+import numpy as np
+
+from mapforge import ColorSet, ColoringGroup, validate
+from mapforge.coloring import PSO_KINDS
+from mapforge.doubles import DoubleResult
+
+
+class DisjointSets:
+    """Union-find with path halving and union by size."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.size = [1] * n
+        self.count = n
+
+    def find(self, x: int) -> int:
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        self.count -= 1
+        return True
+
+
+class ParityDisjointSets:
+    """Union-find tracking a Z2 offset of every element relative to its root.
+
+    union(a, b, parity) asserts offset(a) ^ offset(b) == parity and reports
+    False when that contradicts the relations recorded so far.
+    """
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.offset = [0] * n
+        self.size = [1] * n
+
+    def relation(self, x: int) -> tuple[int, int]:
+        """Return (root, parity of x relative to root), compressing the path."""
+        parent, offset = self.parent, self.offset
+        path = []
+        root = x
+        while parent[root] != root:
+            path.append(root)
+            root = parent[root]
+        acc = 0
+        for node in reversed(path):
+            acc ^= offset[node]
+            parent[node] = root
+            offset[node] = acc
+        return root, acc
+
+    def union(self, a: int, b: int, parity: int) -> bool:
+        ra, pa = self.relation(a)
+        rb, pb = self.relation(b)
+        if ra == rb:
+            return (pa ^ pb) == parity
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+            pa, pb = pb, pa
+        self.parent[rb] = ra
+        self.offset[rb] = pa ^ pb ^ parity
+        self.size[ra] += self.size[rb]
+        return True
+
+
+def component_count(flag_count: int, conns) -> int:
+    """Number of flag orbits; validate raises Disconnected with it when above 1."""
+    uf = DisjointSets(flag_count)
+    for arr in conns:
+        for f in range(flag_count):
+            uf.union(f, int(arr[f]))
+    return uf.count
+
+
+def cell_labels(system, omit: int) -> tuple[np.ndarray, int]:
+    n = system.flag_count
+    uf = DisjointSets(n)
+    for i, conn in enumerate(system.connections):
+        if i == omit:
+            continue
+        for f in range(n):
+            uf.union(f, int(conn[f]))
+    labels = np.empty(n, dtype=np.intp)
+    order: dict[int, int] = {}
+    for f in range(n):
+        root = uf.find(f)
+        if root not in order:
+            order[root] = len(order)
+        labels[f] = order[root]
+    return labels, len(order)
+
+
+def find_coloring(system, cs: ColorSet) -> np.ndarray | None:
+    """Canonical assignment with flag 0 colored 0, or None."""
+    n = system.flag_count
+    colors = np.full(n, -1, dtype=np.int8)
+    colors[0] = 0
+    flips = [1 if j in cs else 0 for j in range(system.rank + 1)]
+    conns = system.connections
+    queue = deque([0])
+    while queue:
+        f = queue.popleft()
+        cf = int(colors[f])
+        for j in range(system.rank + 1):
+            g = int(conns[j][f])
+            want = cf ^ flips[j]
+            have = colors[g]
+            if have < 0:
+                colors[g] = want
+                queue.append(g)
+            elif have != want:
+                return None
+    return colors.astype(np.uint8)
+
+
+def coloring_group(system) -> ColoringGroup:
+    members = []
+    for mask in range(1 << (system.rank + 1)):
+        if find_coloring(system, ColorSet(system.rank, mask)) is not None:
+            members.append(mask)
+    return ColoringGroup(rank=system.rank, masks=frozenset(members))
+
+
+def coloring_group_excluding_cell(system, face) -> ColoringGroup:
+    removed = np.zeros(system.flag_count, dtype=bool)
+    removed[list(face.flags)] = True
+    conns = system.connections
+    members = []
+    for mask in range(1 << (system.rank + 1)):
+        cs = ColorSet(system.rank, mask)
+        flips = [1 if j in cs else 0 for j in range(system.rank + 1)]
+        colors = np.full(system.flag_count, -1, dtype=np.int8)
+        ok = True
+        for start in range(system.flag_count):
+            if removed[start] or colors[start] >= 0:
+                continue
+            colors[start] = 0
+            queue = deque([start])
+            while ok and queue:
+                f = queue.popleft()
+                cf = int(colors[f])
+                for j in range(system.rank + 1):
+                    g = int(conns[j][f])
+                    if removed[g]:
+                        continue
+                    want = cf ^ flips[j]
+                    have = colors[g]
+                    if have < 0:
+                        colors[g] = want
+                        queue.append(g)
+                    elif have != want:
+                        ok = False
+                        break
+            if not ok:
+                break
+        if ok:
+            members.append(mask)
+    return ColoringGroup(rank=system.rank, masks=frozenset(members))
+
+
+def alternating_reference(system, inner) -> np.ndarray:
+    n = system.flag_count
+    ref = np.full(n, -1, dtype=np.int8)
+    conns = system.connections
+    for start in range(n):
+        if ref[start] >= 0:
+            continue
+        ref[start] = 0
+        queue = deque([start])
+        while queue:
+            f = queue.popleft()
+            rf = int(ref[f])
+            for j in inner:
+                g = int(conns[j][f])
+                if ref[g] < 0:
+                    ref[g] = rf ^ 1
+                    queue.append(g)
+                else:
+                    assert ref[g] == rf ^ 1, "cell walk failed to alternate"
+    return ref
+
+
+def direct_pso(system, kind: str) -> np.ndarray | None:
+    """Direction bits per cell, anchored at the smallest cell, or None."""
+    dim, inner, crossing, flip = PSO_KINDS[kind]
+    labels, count = cell_labels(system, omit=dim)
+    n = system.flag_count
+    ref = alternating_reference(system, inner)
+    conns = system.connections
+
+    uf = ParityDisjointSets(count)
+    cross = conns[crossing]
+    for f in range(n):
+        g = int(cross[f])
+        relation = flip ^ int(ref[f]) ^ int(ref[g])
+        if not uf.union(int(labels[f]), int(labels[g]), relation):
+            return None
+
+    anchor_parity: dict[int, int] = {}
+    bits = np.zeros(count, dtype=np.uint8)
+    for c in range(count):
+        root, parity = uf.relation(c)
+        if root not in anchor_parity:
+            anchor_parity[root] = parity
+        bits[c] = parity ^ anchor_parity[root]
+    return bits
+
+
+def i_face_bipartite(system, i: int) -> bool:
+    labels, count = cell_labels(system, omit=i)
+    adj: list[set[int]] = [set() for _ in range(count)]
+    conn = system.connections[i]
+    for f in range(system.flag_count):
+        a, b = int(labels[f]), int(labels[conn[f]])
+        if a == b:
+            return False
+        adj[a].add(b)
+        adj[b].add(a)
+    side = [-1] * count
+    for start in range(count):
+        if side[start] >= 0:
+            continue
+        side[start] = 0
+        queue = deque([start])
+        while queue:
+            c = queue.popleft()
+            for d in adj[c]:
+                if side[d] < 0:
+                    side[d] = side[c] ^ 1
+                    queue.append(d)
+                elif side[d] == side[c]:
+                    return False
+    return True
+
+
+def i_double(system, cs: ColorSet) -> DoubleResult:
+    n = system.flag_count
+    ids = np.arange(n, dtype=np.intp)
+    lifted = []
+    for j, conn in enumerate(system.connections):
+        s = np.empty(2 * n, dtype=np.intp)
+        if j in cs:
+            s[2 * ids] = 2 * conn + 1
+            s[2 * ids + 1] = 2 * conn
+        else:
+            s[2 * ids] = 2 * conn
+            s[2 * ids + 1] = 2 * conn + 1
+        lifted.append(s)
+
+    uf = DisjointSets(2 * n)
+    for s in lifted:
+        for f in range(2 * n):
+            uf.union(f, int(s[f]))
+    if uf.count == 1:
+        doubled = validate(system.rank, 2 * n, lifted)
+        return DoubleResult(
+            split=False, system=doubled, projection=np.arange(2 * n, dtype=np.intp) // 2
+        )
+
+    root = uf.find(0)
+    members = np.array(
+        [f for f in range(2 * n) if uf.find(f) == root], dtype=np.intp
+    )
+    lab = np.full(2 * n, -1, dtype=np.intp)
+    lab[members] = np.arange(members.size, dtype=np.intp)
+    part = validate(system.rank, members.size, [lab[s[members]] for s in lifted])
+    return DoubleResult(split=True, system=part, projection=members // 2)

@@ -1,5 +1,7 @@
+import importlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -401,10 +403,20 @@ def test_verify_seed_precedence(run, tmp_path, monkeypatch):
 
 
 def test_script_pipeline():
-    gen = subprocess.run(["mapforge", "gen", "cube"],
+    script = [sys.executable, "-m", "mapforge"]
+    gen = subprocess.run(script + ["gen", "cube"],
                          capture_output=True, text=True, check=True)
-    dualed = subprocess.run(["mapforge", "dual", "-"], input=gen.stdout,
+    dualed = subprocess.run(script + ["dual", "-"], input=gen.stdout,
                             capture_output=True, text=True, check=True)
-    info = subprocess.run(["mapforge", "info", "-"], input=dualed.stdout,
+    info = subprocess.run(script + ["info", "-"], input=dualed.stdout,
                           capture_output=True, text=True, check=True)
     assert "V=6 E=12 F=8 chi=2 surface=o0 T=e,2,01,012" in info.stdout
+
+
+def test_console_script_entry_point():
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["mapforge"]
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is main

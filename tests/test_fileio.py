@@ -88,6 +88,19 @@ def test_non_integer_image():
     assert info.value.line == 3
 
 
+def test_bad_token_late_in_long_row_reports_its_column():
+    system = tri_torus(6, 6)
+    lines = write_flag_text(system).splitlines()
+    tokens = lines[3].split()
+    tokens[-3] = "1O"
+    lines[3] = "  " + "  ".join(tokens)
+    with pytest.raises(FlagFileError) as info:
+        parse_flag_text("\n".join(lines) + "\n")
+    assert info.value.line == 4
+    assert info.value.column == lines[3].index(" 1O ") + 2
+    assert "'1O'" in str(info.value)
+
+
 def test_missing_connection_line():
     with pytest.raises(FlagFileError):
         parse_flag_text("rank 2\nflags 4\nr0: 1 0 3 2\nr1: 3 2 1 0\n")

@@ -1,0 +1,220 @@
+"""The orbit kernel against the pure-Python reference in orbit_reference.
+
+Maps: the default corpus, every I-double of every corpus map, and a
+seeded random relabeling of each corpus map.  Every public function
+built on the kernel must agree with its reference body exactly.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import orbit_reference as ref
+from mapforge import (
+    ColorSet,
+    CorpusSpec,
+    build_corpus,
+    cell_labels,
+    cells,
+    coloring_group,
+    coloring_group_excluding_cell,
+    crosscap_map,
+    direct_pso,
+    find_coloring,
+    grid_map,
+    i_double,
+    i_face_bipartite,
+    strip_map,
+    validate,
+)
+from mapforge.coloring import PSO_KINDS, _alternating_reference
+from mapforge.errors import Disconnected
+from mapforge.flagsys import _orbits
+
+
+def relabel(system, rng):
+    """The same map with flags renumbered by a random permutation."""
+    perm = rng.permutation(system.flag_count)
+    inv = np.argsort(perm)
+    return validate(system.rank, system.flag_count,
+                    [perm[conn[inv]] for conn in system.connections])
+
+
+def _masks(system):
+    return [ColorSet(system.rank, m) for m in range(1 << (system.rank + 1))]
+
+
+CORPUS = build_corpus(CorpusSpec())
+DOUBLES = [(f"{name} / {cs}-double", i_double(system, cs).system)
+           for name, system in CORPUS for cs in _masks(system)]
+_rng = np.random.default_rng(20261017)
+RELABELED = [(f"{name} relabeled", relabel(system, _rng)) for name, system in CORPUS]
+MAPS = CORPUS + DOUBLES + RELABELED
+RANK2 = [(name, system) for name, system in MAPS if system.rank == 2]
+
+
+def test_map_families_cover_the_corpus():
+    assert len(CORPUS) == 53
+    assert len(DOUBLES) == sum(1 << (s.rank + 1) for _, s in CORPUS)
+
+
+def test_cell_labels_match_reference():
+    for name, system in MAPS:
+        for omit in range(system.rank + 1):
+            labels, count = cell_labels(system, omit)
+            want, want_count = ref.cell_labels(system, omit)
+            assert count == want_count, name
+            assert np.array_equal(labels, want), name
+
+
+def test_cells_are_buckets_of_labels():
+    for name, system in CORPUS + RELABELED:
+        for i in range(system.rank + 1):
+            labels, count = ref.cell_labels(system, i)
+            want = [tuple(np.nonzero(labels == c)[0].tolist()) for c in range(count)]
+            assert [c.flags for c in cells(system, i)] == want, name
+
+
+def test_find_coloring_matches_reference():
+    for name, system in MAPS:
+        for cs in _masks(system):
+            got = find_coloring(system, cs)
+            want = ref.find_coloring(system, cs)
+            if want is None:
+                assert got is None, (name, str(cs))
+            else:
+                assert got is not None, (name, str(cs))
+                assert got.assignment.tobytes() == want.tobytes(), (name, str(cs))
+
+
+def test_coloring_group_matches_reference():
+    for name, system in MAPS:
+        assert coloring_group(system).masks == ref.coloring_group(system).masks, name
+
+
+def test_coloring_group_excluding_cell_matches_reference():
+    for name, system in CORPUS + RELABELED:
+        if system.rank != 2:
+            continue
+        faces = cells(system, 2)
+        for face in {faces[0], faces[-1], max(faces, key=lambda c: c.degree)}:
+            got = coloring_group_excluding_cell(system, face)
+            assert got.masks == ref.coloring_group_excluding_cell(system, face).masks, name
+
+
+def test_alternating_reference_matches_reference():
+    for name, system in RANK2:
+        for inner in ((0, 1), (1, 2), (0, 2)):
+            got = _alternating_reference(system, inner)
+            assert np.array_equal(got, ref.alternating_reference(system, inner)), name
+
+
+def test_direct_pso_arrows_match_reference_byte_for_byte():
+    for name, system in RANK2:
+        for kind in PSO_KINDS:
+            got = direct_pso(system, kind)
+            want = ref.direct_pso(system, kind)
+            if want is None:
+                assert got is None, (name, kind)
+            else:
+                assert got.arrows.tobytes() == want.tobytes(), (name, kind)
+
+
+def test_i_face_bipartite_matches_reference():
+    for name, system in MAPS:
+        for i in range(system.rank + 1):
+            assert i_face_bipartite(system, i) == ref.i_face_bipartite(system, i), (name, i)
+
+
+def test_i_double_matches_reference():
+    for name, system in CORPUS + RELABELED:
+        for cs in _masks(system):
+            got = i_double(system, cs)
+            want = ref.i_double(system, cs)
+            assert got.split == want.split, (name, str(cs))
+            assert np.array_equal(got.projection, want.projection), (name, str(cs))
+            assert got.system == want.system, (name, str(cs))
+
+
+def disjoint_union(*systems):
+    offsets = np.cumsum([0] + [s.flag_count for s in systems])
+    rank = systems[0].rank
+    conns = [np.concatenate([s.connections[j] + off for s, off in zip(systems, offsets)])
+             for j in range(rank + 1)]
+    return int(offsets[-1]), conns
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+def test_validate_counts_components_like_reference(parts):
+    rank2 = [system for _, system in CORPUS if system.rank == 2]
+    for k in range(0, len(rank2) - parts + 1, parts):
+        n, conns = disjoint_union(*rank2[k:k + parts])
+        want = ref.component_count(n, conns)
+        assert want == parts
+        with pytest.raises(Disconnected) as info:
+            validate(2, n, conns)
+        assert info.value.component_count == want
+
+
+def _round_bound(n):
+    return 2 * math.ceil(math.log2(n)) + 2
+
+
+@pytest.mark.parametrize("system", [
+    grid_map(2, 600, 0),
+    crosscap_map(26),
+    strip_map(24, range(11), 0),
+], ids=["grid 2 600 0", "crosscap 26", "strip 24 0..10 0"])
+def test_adversarial_numbering(system):
+    """Long thin maps with random flag numbers: exact results, few rounds."""
+    rng = np.random.default_rng(7)
+    for shuffled in (relabel(system, rng), relabel(system, rng)):
+        n = shuffled.flag_count
+        letters = [(None, c) for c in shuffled.connections]
+        for subset in ([0, 1, 2], [0, 1], [1, 2], [0, 2]):
+            _, _, rounds = _orbits(n, [letters[j] for j in subset])
+            assert rounds <= _round_bound(n), (subset, rounds)
+        _, _, rounds = _orbits(n, letters, [1, 2, 4])
+        assert rounds <= _round_bound(n)
+        for omit in range(3):
+            labels, _ = cell_labels(shuffled, omit)
+            assert np.array_equal(labels, ref.cell_labels(shuffled, omit)[0])
+        assert coloring_group(shuffled).masks == ref.coloring_group(shuffled).masks
+        for kind in PSO_KINDS:
+            got, want = direct_pso(shuffled, kind), ref.direct_pso(shuffled, kind)
+            assert (got is None) == (want is None), kind
+            if want is not None:
+                assert got.arrows.tobytes() == want.tobytes(), kind
+
+
+def test_star_with_hub_numbered_last_takes_two_rounds():
+    """Hooking onto the smallest neighbouring root, not any one, keeps a
+    hub from dragging its leaves in one at a time."""
+    n = 1000
+    leaves = np.arange(n - 1)
+    hub = np.full(n - 1, n - 1)
+    root, pot, rounds = _orbits(n, [(np.concatenate([leaves, hub]),
+                                     np.concatenate([hub, leaves]))], [1])
+    assert not root.any()
+    assert pot.tolist() == [0] * (n - 1) + [1]
+    assert rounds == 2
+
+
+def test_kernel_potentials_hold_64_bit_masks():
+    """Masks up to bit 63 survive hooking and jumping (rank-63 colour sets)."""
+    src = np.array([0, 1, 1, 2, 3, 4])
+    dst = np.array([1, 0, 2, 1, 4, 3])
+    flips = np.array([1 << 63, 1 << 63, 1 << 40, 1 << 40, 7, 7], dtype=np.uint64)
+    root, pot, _ = _orbits(5, [(src, dst)], [flips])
+    assert root.tolist() == [0, 0, 0, 3, 3]
+    assert pot.dtype == np.uint64
+    assert pot.tolist() == [0, 1 << 63, (1 << 63) | (1 << 40), 0, 7]
+
+
+def test_group_orthogonal_to_cycles_at_rank_63():
+    from mapforge.coloring import _orthogonal_group
+
+    pair = (1 << 5) | (1 << 9)
+    cycles = [1 << j for j in range(64) if j not in (5, 9)] + [pair, pair ^ (1 << 63)]
+    assert _orthogonal_group(63, cycles).masks == {0, pair}
