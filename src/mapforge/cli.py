@@ -38,6 +38,7 @@ from .errors import (
     BadParameters,
     FlagFileError,
     MapforgeError,
+    UnknownName,
     ValidationError,
     VertexBipartite,
 )
@@ -92,10 +93,6 @@ def _ints_line(values) -> str:
     return " ".join(str(int(v)) for v in values)
 
 
-def _color_set(text: str, rank: int) -> ColorSet:
-    return ColorSet.parse(text, rank)
-
-
 def _degree_summary(cell_list) -> str:
     counts = Counter(c.degree for c in cell_list)
     return ",".join(f"{d}:{n}" for d, n in sorted(counts.items()))
@@ -144,7 +141,7 @@ def cmd_info(args) -> int:
 
 def cmd_color(args) -> int:
     system = _read_system(args.file)
-    witness = find_coloring(system, _color_set(args.set, system.rank))
+    witness = find_coloring(system, ColorSet.parse(args.set, system.rank))
     if witness is None:
         _report(args, [("colorable", False)])
         return 1
@@ -184,7 +181,7 @@ def _transform(op):
 
 def cmd_double(args) -> int:
     system = _read_system(args.file)
-    result = i_double(system, _color_set(args.set, system.rank))
+    result = i_double(system, ColorSet.parse(args.set, system.rank))
     _write_system(result.system, args.output)
     _sidecar_lines(args, [
         f"split: {'true' if result.split else 'false'}",
@@ -208,7 +205,7 @@ def cmd_sherk(args) -> int:
 
 def cmd_recognize_double(args) -> int:
     system = _read_system(args.file)
-    found = recognize_i_double(system, _color_set(args.set, system.rank))
+    found = recognize_i_double(system, ColorSet.parse(args.set, system.rank))
     if found is None:
         _sidecar_lines(args, ["found: false"])
         return 1
@@ -284,21 +281,30 @@ def cmd_iso(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
+def _verify_spec(args) -> CorpusSpec:
+    spec = CorpusSpec()
     if args.corpus is not None:
-        try:
-            with open(args.corpus, "r", encoding="utf-8") as fh:
-                spec = CorpusSpec.from_json(fh.read())
-        except (OSError, BadParameters) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        spec = CorpusSpec()
+        with open(args.corpus, "r", encoding="utf-8") as fh:
+            spec = CorpusSpec.from_json(fh.read())
     env_seed = os.environ.get("MAPFORGE_SEED")
     if env_seed is not None:
-        spec = dataclasses.replace(spec, seed=int(env_seed))
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            raise BadParameters(
+                f"MAPFORGE_SEED must be an integer, got {env_seed!r}") from None
+        spec = dataclasses.replace(spec, seed=seed)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
+    return spec
+
+
+def cmd_verify(args) -> int:
+    try:
+        spec = _verify_spec(args)
+    except (OSError, BadParameters, UnknownName) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.operations is not None:
         spec = dataclasses.replace(
             spec, operations=tuple(args.operations.split(",")))
@@ -307,6 +313,10 @@ def cmd_verify(args) -> int:
     except ValidationError as exc:
         print(f"FAIL corpus generation: {exc}")
         return 1
+    except (BadParameters, UnknownName) as exc:
+        # the checks catch their own errors, so this is a bad generator line
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0 if ok else 1
 
 

@@ -9,7 +9,6 @@ any admissible coloring group on any admissible surface.
 
 from __future__ import annotations
 
-import string
 from collections import deque
 from dataclasses import dataclass
 from itertools import permutations
@@ -22,7 +21,6 @@ from .coloring import (
     _alternating_reference,
     all_subgroups,
     coloring_group,
-    find_coloring,
 )
 from .errors import (
     BadParameters,
@@ -41,7 +39,6 @@ from .flagsys import (
     FlagSystem,
     SurfaceSignature,
     cell_labels,
-    cells,
     surface_signature,
     validate,
 )
@@ -296,7 +293,12 @@ def polygon_gluing(word) -> FlagSystem:
     """
     if not isinstance(word, GluingWord):
         word = GluingWord(str(word))
-    L = len(word)
+    return _glued_polygon(word.pairs())
+
+
+def _glued_polygon(pairs) -> FlagSystem:
+    """polygon_gluing from side pairs (p, q, same_case) covering every side."""
+    L = 2 * len(pairs)
     n = 2 * L
     r0 = np.empty(n, dtype=np.intp)
     r1 = np.empty(n, dtype=np.intp)
@@ -306,7 +308,7 @@ def polygon_gluing(word) -> FlagSystem:
         r0[2 * i + 1] = 2 * i
         r1[2 * i] = 2 * ((i - 1) % L) + 1
         r1[2 * i + 1] = 2 * ((i + 1) % L)
-    for p, q, same in word.pairs():
+    for p, q, same in pairs:
         if same:
             r2[2 * p], r2[2 * q] = 2 * q, 2 * p
             r2[2 * p + 1], r2[2 * q + 1] = 2 * q + 1, 2 * p + 1
@@ -316,13 +318,16 @@ def polygon_gluing(word) -> FlagSystem:
     return validate(2, n, (r0, r1, r2))
 
 
+def _crosscap_pairs(start: int, count: int) -> list[tuple[int, int, bool]]:
+    """Side pairs of the word xxyy... from side `start`: `count` crosscaps."""
+    return [(start + 2 * i, start + 2 * i + 1, True) for i in range(count)]
+
+
 def crosscap_map(k: int) -> FlagSystem:
     """Canonical one-vertex map on the non-orientable genus-k surface."""
     if k < 1:
         raise BadParameters(f"need at least one crosscap, got {k}")
-    if k > 26:
-        raise BadParameters("crosscap word limited to 26 letters")
-    return polygon_gluing("".join(2 * ch for ch in string.ascii_lowercase[:k]))
+    return _glued_polygon(_crosscap_pairs(0, k))
 
 
 def strip_map(h: int, swaps, parity: int) -> FlagSystem:
@@ -343,17 +348,14 @@ def strip_map(h: int, swaps, parity: int) -> FlagSystem:
     if any(x < 0 or x >= h - 1 for x in swaps):
         raise BadParameters(f"swaps must lie in 0..{h - 2}, got {swaps}")
     s = len(swaps)
+    # the words abcaCB, aa and aabcBC, followed by `extra` crosscaps
     if parity == 0:
-        word, extra = "abcaCB", 2 * s
+        head, extra = [(0, 3, True), (1, 5, False), (2, 4, False)], 2 * s
     elif s == 0:
-        word, extra = "aa", 0
+        head, extra = [(0, 1, True)], 0
     else:
-        word, extra = "aabcBC", 2 * (s - 1)
-    fresh = string.ascii_lowercase[3 : 3 + extra]
-    if len(fresh) < extra:
-        raise BadParameters("strip word exceeds the 26-letter alphabet")
-    word += "".join(2 * ch for ch in fresh)
-    return polygon_gluing(word)
+        head, extra = [(0, 1, True), (2, 4, False), (3, 5, False)], 2 * (s - 1)
+    return _glued_polygon(head + _crosscap_pairs(2 * len(head), extra))
 
 
 # ---------------------------------------------------------------------------
@@ -489,19 +491,38 @@ def _edge_corners(system: FlagSystem, edge: Cell) -> tuple[int, int, int, int]:
     return a, b, c, d
 
 
-def _extended(system: FlagSystem, extra: int) -> list[np.ndarray]:
-    out = []
-    for conn in system.connections:
-        arr = np.empty(system.flag_count + extra, dtype=np.intp)
-        arr[: system.flag_count] = conn
-        out.append(arr)
-    return out
+def _edge_flags(system: FlagSystem) -> np.ndarray:
+    """Smallest flag of every edge, ascending: the order of cells(system, 1)."""
+    r0, r2 = system.connections[0], system.connections[2]
+    f = np.arange(system.flag_count)
+    return np.flatnonzero((f < r0) & (f < r2) & (f < r2[r0]))
 
 
-def _set_pairs(arr: np.ndarray, *pairs):
-    for x, y in pairs:
-        arr[x] = y
-        arr[y] = x
+def _insert_edges(system: FlagSystem, flags, letter: int) -> FlagSystem:
+    """Subdivide (letter 0) or double (letter 2) the edges whose smallest
+    flags are `flags`, all in one pass.
+
+    Edge i's corners (a, b, c, d) = (a, a r0, a r2, a r0 r2) get copies
+    n+4i..n+4i+3 in that order.  r_letter swaps each corner with its
+    copy, and the copies are joined among themselves by r1 as the
+    corners are by r_letter, and by the other outer connection as the
+    corners are by it.  In corner order r0 is index ^ 1 and r2 is
+    index ^ 2, so those joins are index arithmetic on the copies.
+    """
+    other = 2 - letter
+    step = {0: 1, 2: 2}
+    a = np.asarray(flags, dtype=np.intp)
+    r0, r2 = system.connections[0], system.connections[2]
+    corners = np.stack([a, r0[a], r2[a], r2[r0[a]]], axis=1).ravel()
+    n = system.flag_count
+    local = np.arange(corners.size)
+    copies = n + local
+    conns = [np.concatenate([conn, copies]) for conn in system.connections]
+    conns[letter][corners] = copies
+    conns[letter][copies] = corners
+    conns[1][copies] = n + (local ^ step[letter])
+    conns[other][copies] = n + (local ^ step[other])
+    return validate(2, n + corners.size, conns)
 
 
 def subdivide_edge(system: FlagSystem, edge: Cell) -> FlagSystem:
@@ -510,14 +531,8 @@ def subdivide_edge(system: FlagSystem, edge: Cell) -> FlagSystem:
     Adds one vertex and one edge; both incident faces gain a side, so
     the characteristic is untouched.
     """
-    a, b, c, d = _edge_corners(system, edge)
-    n = system.flag_count
-    a2, b2, c2, d2 = n, n + 1, n + 2, n + 3
-    r0, r1, r2 = _extended(system, 4)
-    _set_pairs(r0, (a, a2), (b, b2), (c, c2), (d, d2))
-    _set_pairs(r1, (a2, b2), (c2, d2))
-    _set_pairs(r2, (a2, c2), (b2, d2))
-    return validate(2, n + 4, (r0, r1, r2))
+    a, _, _, _ = _edge_corners(system, edge)
+    return _insert_edges(system, [a], 0)
 
 
 def double_edge(system: FlagSystem, edge: Cell) -> FlagSystem:
@@ -526,14 +541,8 @@ def double_edge(system: FlagSystem, edge: Cell) -> FlagSystem:
     Adds one edge and one face; every old face keeps its exact flag
     orbit, so no face degree changes.
     """
-    a, b, c, d = _edge_corners(system, edge)
-    n = system.flag_count
-    a2, b2, c2, d2 = n, n + 1, n + 2, n + 3
-    r0, r1, r2 = _extended(system, 4)
-    _set_pairs(r0, (a2, b2), (c2, d2))
-    _set_pairs(r1, (a2, c2), (b2, d2))
-    _set_pairs(r2, (a, a2), (b, b2), (c, c2), (d, d2))
-    return validate(2, n + 4, (r0, r1, r2))
+    a, _, _, _ = _edge_corners(system, edge)
+    return _insert_edges(system, [a], 2)
 
 
 def triple_edge(system: FlagSystem, edge: Cell) -> FlagSystem:
@@ -555,153 +564,88 @@ def triple_edge(system: FlagSystem, edge: Cell) -> FlagSystem:
 # goal-directed adjustment
 
 
-def _vertexish_conflicts(system: FlagSystem, dim: int, crossing: int) -> list[int]:
-    """Edges (by minimal flag) joining same-colored dimension-`dim` cells
-    under a breadth-first two-coloring attempt."""
-    labels, count = cell_labels(system, omit=dim)
-    cross = system.connections[crossing]
-    adj: list[list[int]] = [[] for _ in range(count)]
-    for e in cells(system, 1):
-        a = e.flags[0]
-        u, w = int(labels[a]), int(labels[cross[a]])
-        adj[u].append(w)
-        adj[w].append(u)
-    side = [-1] * count
-    side[0] = 0
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if side[w] < 0:
-                side[w] = side[u] ^ 1
-                queue.append(w)
-    return [
-        e.flags[0]
-        for e in cells(system, 1)
-        if side[int(labels[e.flags[0]])] == side[int(labels[cross[e.flags[0]]])]
-    ]
+def _conflicts(system: FlagSystem, dim: int, inner) -> np.ndarray:
+    """Edges (by smallest flag) that break a breadth-first assignment of
+    one bit per dimension-`dim` cell.
 
-
-def _psoish_conflicts(system: FlagSystem, dim: int, inner, crossing: int) -> list[int]:
-    """Edges whose direction constraint fails a spanning-tree assignment."""
+    Crossing an edge by r_dim must change the bit by 1 when inner is
+    None (a two-coloring), else by the change of the alternating
+    reference on the `inner` connections (a consistent direction).
+    """
     labels, count = cell_labels(system, omit=dim)
-    ref = _alternating_reference(system, inner)
-    cross = system.connections[crossing]
-    edges = []
+    cross = system.connections[dim]
+    a = _edge_flags(system)
+    u, w = labels[a], labels[cross[a]]
+    if inner is None:
+        gamma = np.ones(a.size, dtype=np.intp)
+    else:
+        ref = _alternating_reference(system, inner)
+        gamma = (ref[a] ^ ref[cross[a]]).astype(np.intp)
     adj: list[list[tuple[int, int]]] = [[] for _ in range(count)]
-    for e in cells(system, 1):
-        a = e.flags[0]
-        u, w = int(labels[a]), int(labels[cross[a]])
-        gamma = int(ref[a]) ^ int(ref[cross[a]])
-        edges.append((a, u, w, gamma))
-        adj[u].append((w, gamma))
-        adj[w].append((u, gamma))
+    for x, y, g in zip(u.tolist(), w.tolist(), gamma.tolist()):
+        adj[x].append((y, g))
+        adj[y].append((x, g))
     bit = [-1] * count
     bit[0] = 0
     queue = deque([0])
     while queue:
-        u = queue.popleft()
-        for w, gamma in adj[u]:
-            if bit[w] < 0:
-                bit[w] = bit[u] ^ gamma
-                queue.append(w)
-    return [a for a, u, w, gamma in edges if bit[u] ^ bit[w] != gamma]
+        x = queue.popleft()
+        for y, g in adj[x]:
+            if bit[y] < 0:
+                bit[y] = bit[x] ^ g
+                queue.append(y)
+    bits = np.array(bit, dtype=np.intp)
+    return a[(bits[u] ^ bits[w]) != gamma]
 
 
-def _apply_surgery_at(system: FlagSystem, flags, op) -> tuple[FlagSystem, int]:
-    count = 0
-    for f in flags:
-        system = op(system, edge_of(system, f))
-        count += 1
-    return system, count
+def _make_odd(system: FlagSystem, dim: int) -> FlagSystem:
+    """Make some dimension-`dim` cell odd: one insertion at an edge
+    between two different such cells adds a side to both."""
+    labels, count = cell_labels(system, omit=dim)
+    if (np.bincount(labels, minlength=count) // 2 % 2).any():
+        return system
+    letter = 2 - dim
+    a = _edge_flags(system)
+    apart = a[labels[a] != labels[system.connections[dim][a]]]
+    if apart.size:
+        return _insert_edges(system, apart[:1], letter)
+    # every edge meets one cell on both sides: split off a new cell first
+    once = _insert_edges(system, a[:1], dim)
+    return _insert_edges(once, a[:1], letter)
 
 
-def _distinct_face_edge(system: FlagSystem):
-    labels, _ = cell_labels(system, omit=2)
-    r2 = system.connections[2]
-    for e in cells(system, 1):
-        a = e.flags[0]
-        if labels[a] != labels[r2[a]]:
-            return e
-    return None
-
-
-def _nonloop_edge(system: FlagSystem):
-    labels, _ = cell_labels(system, omit=0)
-    r0 = system.connections[0]
-    for e in cells(system, 1):
-        a = e.flags[0]
-        if labels[a] != labels[r0[a]]:
-            return e
-    return None
-
-
-def _make_odd_face(system: FlagSystem) -> tuple[FlagSystem, int]:
-    if any(f.degree % 2 for f in cells(system, 2)):
-        return system, 0
-    e = _distinct_face_edge(system)
-    if e is not None:
-        return subdivide_edge(system, e), 1
-    # every edge sees one face twice: double one to split off a bigon first
-    e = cells(system, 1)[0]
-    a = e.flags[0]
-    once = double_edge(system, e)
-    return subdivide_edge(once, edge_of(once, a)), 2
-
-
-def _make_odd_vertex(system: FlagSystem) -> tuple[FlagSystem, int]:
-    if any(v.degree % 2 for v in cells(system, 0)):
-        return system, 0
-    e = _nonloop_edge(system)
-    if e is not None:
-        return double_edge(system, e), 1
-    # all edges are loops: split one to manufacture a non-loop edge
-    e = cells(system, 1)[0]
-    a = e.flags[0]
-    once = subdivide_edge(system, e)
-    return double_edge(once, edge_of(once, a)), 2
-
-
-MAKE_GOALS = ("vertex_bipartite", "face_bipartite", "vpso", "fpso",
-              "odd_face", "odd_vertex")
+# goal -> (cell dimension, inner connections or None for a two-coloring);
+# the insertion letter at each conflicting edge equals the dimension.
+_CONFLICT_GOALS = {
+    "vertex_bipartite": (0, None),
+    "face_bipartite": (2, None),
+    "vpso": (0, (1, 2)),
+    "fpso": (2, (0, 1)),
+}
+_ODD_GOALS = {"odd_face": 2, "odd_vertex": 0}
+MAKE_GOALS = tuple(_CONFLICT_GOALS) + tuple(_ODD_GOALS)
 
 
 def make_property(system: FlagSystem, goal: str) -> FlagSystem:
     """Adjust a map on its own surface until `goal` holds.
 
     vertex_bipartite and vpso subdivide offending edges; their face
-    counterparts enclose bigons instead.  odd_face and odd_vertex force
-    some odd-degree cell into existence.  Every step preserves the
-    characteristic and the orientability class, and at most one surgery
-    per edge is ever needed.
+    counterparts enclose bigons instead.  Every offending edge is found
+    in one search of the input and fixed in one batched insertion, since
+    one surgery per edge always suffices.  odd_face and odd_vertex force
+    some odd-degree cell into existence with at most two insertions.
+    Every step preserves the characteristic and the orientability class,
+    so any map on any surface can be adjusted; a map that already meets
+    the goal is returned unchanged.
     """
-    adjusted, _ = _make_property_counted(system, goal)
-    return adjusted
-
-
-def _make_property_counted(system: FlagSystem, goal: str) -> tuple[FlagSystem, int]:
     if system.rank != 2:
         raise RankNotTwo(system.rank, "make_property")
-    if goal == "vertex_bipartite":
-        return _apply_surgery_at(
-            system, _vertexish_conflicts(system, 0, 0), subdivide_edge
-        )
-    if goal == "face_bipartite":
-        return _apply_surgery_at(
-            system, _vertexish_conflicts(system, 2, 2), double_edge
-        )
-    if goal == "vpso":
-        return _apply_surgery_at(
-            system, _psoish_conflicts(system, 0, (1, 2), 0), subdivide_edge
-        )
-    if goal == "fpso":
-        return _apply_surgery_at(
-            system, _psoish_conflicts(system, 2, (0, 1), 2), double_edge
-        )
-    if goal == "odd_face":
-        return _make_odd_face(system)
-    if goal == "odd_vertex":
-        return _make_odd_vertex(system)
+    if goal in _CONFLICT_GOALS:
+        dim, inner = _CONFLICT_GOALS[goal]
+        conflicts = _conflicts(system, dim, inner)
+        return _insert_edges(system, conflicts, dim) if conflicts.size else system
+    if goal in _ODD_GOALS:
+        return _make_odd(system, _ODD_GOALS[goal])
     raise BadParameters(f"unknown goal {goal!r}; options: {', '.join(MAKE_GOALS)}")
 
 
@@ -784,10 +728,6 @@ def connected_sum(system: FlagSystem, other: FlagSystem, flag_a: int, flag_b: in
 # realizing coloring groups on surfaces
 
 
-def _mask_set(group: ColoringGroup) -> frozenset[int]:
-    return frozenset(group.masks)
-
-
 _FULL = frozenset(range(8))
 _EXCEPTIONS = (
     (frozenset({0, 2, 5, 7}), SurfaceSignature(orientable=True, genus=0)),
@@ -822,13 +762,15 @@ def build_map_with_group(group, surface: SurfaceSignature) -> FlagSystem:
     and are built by doubling a non-orientable construction; the rest
     start from a one-vertex seed and run insertion recipes, except the
     two engineered families (edge-bipartite grids and strip gluings).
-    Postconditions are re-verified before returning.
+    Each recipe step is one make_property pass, so every genus works
+    and the size grows linearly with it.  Postconditions are re-verified
+    before returning.
     """
     if not isinstance(group, ColoringGroup):
         group = ColoringGroup.of(2, group)
     if group.rank != 2:
         raise BadParameters(f"realization works at rank 2, got rank {group.rank}")
-    masks = _mask_set(group)
+    masks = frozenset(group.masks)
     for bad_masks, bad_surface in _EXCEPTIONS:
         if masks == bad_masks and surface == bad_surface:
             raise ExceptionalPair(str(group), str(surface))
@@ -844,15 +786,12 @@ def build_map_with_group(group, surface: SurfaceSignature) -> FlagSystem:
 
     achieved = coloring_group(result)
     lies_on = surface_signature(result)
-    if _mask_set(achieved) != masks or lies_on != surface:
+    if frozenset(achieved.masks) != masks or lies_on != surface:
         raise ConstructionFailed(
             f"wanted group {group} on {surface}, "
             f"achieved {achieved} on {lies_on}"
         )
     return result
-
-
-_SURGERY_BUDGET = 64
 
 
 def _build_unverified(masks: frozenset[int], surface: SurfaceSignature) -> FlagSystem:
@@ -885,12 +824,6 @@ def _build_unverified(masks: frozenset[int], surface: SurfaceSignature) -> FlagS
     if steps is None:
         raise BadParameters(f"no recipe for group with masks {sorted(masks)}")
     system = crosscap_map(genus)
-    budget = _SURGERY_BUDGET
     for goal in steps:
-        system, used = _make_property_counted(system, goal)
-        budget -= used
-        if budget < 0:
-            raise ConstructionFailed(
-                f"surgery budget exhausted while enforcing {goal}"
-            )
+        system = make_property(system, goal)
     return system

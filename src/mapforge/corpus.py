@@ -12,6 +12,7 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import json
+import numbers
 import os
 import re
 
@@ -182,6 +183,11 @@ class CorpusSpec:
     operations: tuple[str, ...] = ()
 
     def __post_init__(self):
+        for key in ("seed", "surgery_depth"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+                    or value < 0:
+                raise BadParameters(f"{key} must be a non-negative integer, got {value!r}")
         object.__setattr__(self, "generators", tuple(self.generators))
         object.__setattr__(self, "operations", tuple(self.operations))
         for op in self.operations:
@@ -203,11 +209,7 @@ class CorpusSpec:
         stray = sorted(set(data) - known)
         if stray:
             raise BadParameters(f"unknown corpus fields: {', '.join(stray)}")
-        kwargs = {}
-        if "seed" in data:
-            kwargs["seed"] = int(data["seed"])
-        if "surgery_depth" in data:
-            kwargs["surgery_depth"] = int(data["surgery_depth"])
+        kwargs = {key: data[key] for key in ("seed", "surgery_depth") if key in data}
         for key in ("generators", "operations"):
             if key in data:
                 value = data[key]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coloring import ColorSet, find_coloring
+from .coloring import ColorSet, _as_color_set, find_coloring
 from .errors import (
     BadParameters,
     ConnectionCollision,
@@ -54,16 +54,6 @@ class DoubleResult:
         arr = np.ascontiguousarray(self.projection, dtype=np.intp)
         arr.setflags(write=False)
         object.__setattr__(self, "projection", arr)
-
-
-def _as_color_set(system: FlagSystem, color_set) -> ColorSet:
-    if isinstance(color_set, ColorSet):
-        if color_set.rank != system.rank:
-            raise BadParameters(
-                f"color set rank {color_set.rank} != system rank {system.rank}"
-            )
-        return color_set
-    return ColorSet.of(color_set, system.rank)
 
 
 def i_double(system: FlagSystem, color_set) -> DoubleResult:

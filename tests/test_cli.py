@@ -384,6 +384,25 @@ def test_verify_malformed_corpus_json(run, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("env_seed,spec", [
+    ("abc", {"generators": ["tetrahedron"]}),
+    (None, {"seed": "x", "generators": ["tetrahedron"]}),
+    (None, {"seed": [1], "generators": ["tetrahedron"]}),
+    (None, {"surgery_depth": -5, "generators": ["tetrahedron"]}),
+    (None, {"generators": ["tetrahedron", "nonsense 3"]}),
+], ids=["env-seed-abc", "seed-string", "seed-list", "negative-depth", "unknown-generator"])
+def test_verify_malformed_spec_values(run, tmp_path, monkeypatch, env_seed, spec):
+    if env_seed is not None:
+        monkeypatch.setenv("MAPFORGE_SEED", env_seed)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    code, out, err = run("verify", "--corpus", str(spec_path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+
+
 def test_verify_seed_precedence(run, tmp_path, monkeypatch):
     captured = []
 

@@ -122,8 +122,24 @@ def test_crosscap_maps():
     assert str(coloring_group(crosscap_map(2))) == "e,01,02,12"
     with pytest.raises(BadParameters):
         crosscap_map(0)
-    with pytest.raises(BadParameters):
-        crosscap_map(27)
+    assert surface_signature(crosscap_map(27)) == SurfaceSignature(False, 27)
+
+
+def test_crosscap_and_strip_match_their_gluing_words():
+    letters = "abcdefghijklmnopqrstuvwxyz"
+
+    def doubled(chars):
+        return "".join(2 * ch for ch in chars)
+
+    for k in range(1, 27):
+        assert crosscap_map(k) == polygon_gluing(doubled(letters[:k]))
+    for s in range(12):
+        assert strip_map(s + 1, range(s), 0) == \
+            polygon_gluing("abcaCB" + doubled(letters[3:3 + 2 * s]))
+    assert strip_map(1, (), 1) == polygon_gluing("aa")
+    for s in range(1, 13):
+        assert strip_map(s + 1, range(s), 1) == \
+            polygon_gluing("aabcBC" + doubled(letters[3:3 + 2 * (s - 1)]))
 
 
 def test_strip_family():
@@ -421,6 +437,24 @@ def test_build_map_with_group_full_grid():
     assert built == 83
     assert exceptional == 3
     assert mismatched == 74
+
+
+def test_build_map_with_group_at_high_genus():
+    # n22 needs more than 64 surgeries for e,0,2,02 and n26 needs more
+    # than 26 gluing letters for e,02; neither is a limit any more.
+    surfaces = [SurfaceSignature(False, g) for g in range(20, 31)] \
+        + [SurfaceSignature(True, g) for g in range(20, 26)]
+    built = 0
+    for group in all_subgroups(2):
+        for surface in surfaces:
+            try:
+                system = build_map_with_group(group, surface)
+            except (ExceptionalPair, OrientabilityMismatch):
+                continue
+            built += 1
+            assert coloring_group(system).masks == group.masks
+            assert surface_signature(system) == surface
+    assert built == 11 * 11 + 5 * 6
 
 
 def test_build_map_exceptional_pairs():

@@ -31,6 +31,7 @@ from mapforge.errors import (
     HasFixedPoint,
     NotDeck,
     NotInvolution,
+    RankMismatch,
     RankNotTwo,
     VertexBipartite,
 )
@@ -277,3 +278,12 @@ def test_double_works_at_higher_rank():
     grown = coloring_group(result.system)
     assert grown.masks == subgroup_closure(
         3, list(group.masks) + [member.mask]).masks
+
+
+def test_wrong_rank_color_set_is_a_rank_mismatch():
+    cube = platonic("cube")
+    wrong = ColorSet.of((0,), 3)
+    with pytest.raises(RankMismatch):
+        i_double(cube, wrong)
+    with pytest.raises(RankMismatch):
+        recognize_i_double(i_double(cube, (0, 1, 2)).system, wrong)
