@@ -33,14 +33,13 @@ from .corpus import (
     invoke_generator,
     run_verify,
 )
-from .doubles import i_double, quotient, recognize_i_double
+from .doubles import i_double, quotient, recognize_i_double, sherk_double
 from .errors import (
     BadParameters,
     FlagFileError,
     MapforgeError,
     UnknownName,
     ValidationError,
-    VertexBipartite,
 )
 from .fileio import parse_flag_text, read_flag_file, write_flag_text
 from .flagsys import (
@@ -56,7 +55,11 @@ from .operators import dual, medial, opposite, petrie
 
 def _read_system(path: str) -> FlagSystem:
     if path == "-":
-        return parse_flag_text(sys.stdin.read())
+        try:
+            text = sys.stdin.read()
+        except UnicodeDecodeError as exc:
+            raise FlagFileError(None, None, f"stdin is not UTF-8 text: {exc}") from None
+        return parse_flag_text(text)
     return read_flag_file(path)
 
 
@@ -191,14 +194,12 @@ def cmd_double(args) -> int:
 
 
 def cmd_sherk(args) -> int:
-    system = _read_system(args.file)
-    result = i_double(system, ColorSet.of((0,), system.rank))
-    if result.split:
-        raise VertexBipartite()
-    _write_system(result.system, args.output)
+    cover = sherk_double(_read_system(args.file))
+    _write_system(cover, args.output)
+    # the {0}-double numbers flag (f, i) as 2f+i
     _sidecar_lines(args, [
         "split: false",
-        f"projection: {_ints_line(result.projection)}",
+        f"projection: {_ints_line(np.arange(cover.flag_count) // 2)}",
     ])
     return 0
 
@@ -302,12 +303,12 @@ def _verify_spec(args) -> CorpusSpec:
 def cmd_verify(args) -> int:
     try:
         spec = _verify_spec(args)
-    except (OSError, BadParameters, UnknownName) as exc:
+        if args.operations is not None:
+            spec = dataclasses.replace(
+                spec, operations=tuple(args.operations.split(",")))
+    except (OSError, UnicodeDecodeError, BadParameters, UnknownName) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.operations is not None:
-        spec = dataclasses.replace(
-            spec, operations=tuple(args.operations.split(",")))
     try:
         ok = run_verify(spec, workers=args.workers, dump_dir=args.dump)
     except ValidationError as exc:

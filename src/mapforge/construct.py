@@ -670,32 +670,23 @@ def connected_sum(system: FlagSystem, other: FlagSystem, flag_a: int, flag_b: in
     if not 0 <= flag_b < other.flag_count:
         raise BadParameters(f"flag {flag_b} out of range for the second map")
 
-    def face_flags(sys_, f0):
-        r0, r1 = sys_.connections[0], sys_.connections[1]
-        seen = [f0]
-        mark = {f0}
-        for f in seen:
-            for conn in (r0, r1):
-                g = int(conn[f])
-                if g not in mark:
-                    mark.add(g)
-                    seen.append(g)
-        return mark
-
-    fa = face_flags(system, flag_a)
-    fb = face_flags(other, flag_b)
-    if len(fa) != len(fb):
-        raise FaceSizeMismatch(len(fa) // 2, len(fb) // 2)
+    labels_a, _ = cell_labels(system, 2)
+    labels_b, _ = cell_labels(other, 2)
+    fa = labels_a == labels_a[flag_a]
+    fb = labels_b == labels_b[flag_b]
+    size_a, size_b = np.count_nonzero(fa), np.count_nonzero(fb)
+    if size_a != size_b:
+        raise FaceSizeMismatch(size_a // 2, size_b // 2)
     r2a = system.connections[2]
     r2b = other.connections[2]
-    if any(int(r2a[f]) in fa for f in fa):
+    if fa[r2a[fa]].any():
         raise FaceSelfAdjacent("first")
-    if any(int(r2b[f]) in fb for f in fb):
+    if fb[r2b[fb]].any():
         raise FaceSelfAdjacent("second")
 
     na, nb = system.flag_count, other.flag_count
-    keep_a = np.array(sorted(set(range(na)) - fa), dtype=np.intp)
-    keep_b = np.array(sorted(set(range(nb)) - fb), dtype=np.intp)
+    keep_a = np.flatnonzero(~fa)
+    keep_b = np.flatnonzero(~fb)
     new_a = np.full(na, -1, dtype=np.intp)
     new_b = np.full(nb, -1, dtype=np.intp)
     new_a[keep_a] = np.arange(keep_a.size, dtype=np.intp)
@@ -710,7 +701,7 @@ def connected_sum(system: FlagSystem, other: FlagSystem, flag_a: int, flag_b: in
         conns.append(arr)
 
     # walk both face boundaries in step and sew the outside flags together
-    k = len(fa) // 2
+    k = size_a // 2
     r0a, r1a = system.connections[0], system.connections[1]
     r0b, r1b = other.connections[0], other.connections[1]
     wa, wb = flag_a, flag_b

@@ -49,7 +49,6 @@ from .doubles import i_double, recognize_i_double
 from .errors import (
     BadParameters,
     LoopEdge,
-    MapforgeError,
     UnknownName,
     ValidationError,
 )
@@ -153,10 +152,6 @@ def invoke_generator(text: str) -> FlagSystem:
     options = tuple(PLATONIC_NAMES) + (
         "tri-torus", "grid", "strip", "polygon", "crosscap", "cube-maniplex", "file")
     raise UnknownName(name, options)
-
-
-GENERATOR_NAMES = tuple(PLATONIC_NAMES) + (
-    "tri-torus", "grid", "strip", "polygon", "crosscap", "cube-maniplex")
 
 
 def random_surgery(system: FlagSystem, rng: np.random.Generator) -> FlagSystem:
@@ -556,7 +551,7 @@ def _run_cell(seed, index, system, check_id):
     rng = np.random.default_rng((seed, index))
     try:
         return PROPERTY_CHECKS[check_id](system, rng)
-    except MapforgeError as exc:
+    except Exception as exc:  # one failing check must not abort the run
         return f"{type(exc).__name__}: {exc}"
 
 

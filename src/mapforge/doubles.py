@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
     VertexBipartite,
 )
-from .flagsys import FlagSystem, _orbits, deck_transformations, validate
+from .flagsys import FlagSystem, _isomorphisms, _orbits, validate
 
 __all__ = [
     "DoubleResult",
@@ -165,18 +165,13 @@ def recognize_i_double(system: FlagSystem, color_set):
     if coloring is None:
         return None
     a = coloring.assignment
-    n = system.flag_count
-    ids = np.arange(n, dtype=np.intp)
-    for u in deck_transformations(system):
-        if (u[u] != ids).any() or (u == ids).any():
+    for u in _isomorphisms(system, system):
+        if not (a[u] != a).all():
             continue
-        if not (a[u] == a ^ 1).all():
-            continue
-        if any((u == conn).any() for conn in system.connections):
-            continue
+        # quotient refuses u unless it is an involution avoiding every connection
         try:
             base, phi = quotient(system, u)
-        except ValidationError:
+        except (ValidationError, ConnectionCollision):
             continue
         return u, base, phi
     return None

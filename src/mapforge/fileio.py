@@ -110,6 +110,8 @@ def read_flag_file(path: str) -> FlagSystem:
             text = fh.read()
     except OSError as exc:
         raise FlagFileError(None, None, f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise FlagFileError(None, None, f"{path} is not UTF-8 text: {exc}") from None
     return parse_flag_text(text)
 
 

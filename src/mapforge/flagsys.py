@@ -189,7 +189,11 @@ def validate(rank: int, flag_count: int, raw_connections) -> FlagSystem:
     conns = []
     ident = np.arange(flag_count, dtype=np.intp)
     for i, raw in enumerate(raw_connections):
-        arr = np.asarray(raw, dtype=np.intp)
+        try:
+            arr = np.asarray(raw, dtype=np.intp)
+        except OverflowError:
+            f = next(f for f, v in enumerate(raw) if not 0 <= v < flag_count)
+            raise OutOfRange(i, f, int(raw[f]), flag_count) from None
         if arr.shape != (flag_count,):
             raise BadParameters(
                 f"connection r{i} has length {arr.size}, expected {flag_count}"
@@ -346,33 +350,33 @@ def _bfs_tree(system: FlagSystem) -> list[tuple[int, int, int]]:
     return order
 
 
-def _transport_all(source: FlagSystem, target: FlagSystem, chunk: int):
-    """Yield (start, table) blocks: table[g - start, f] is the image of source
-    flag f when source flag 0 is sent to target flag g and images are extended
-    along a BFS spanning tree of the source."""
-    tree = _bfs_tree(source)
-    n_t = target.flag_count
-    n_s = source.flag_count
-    rows = max(1, chunk // max(n_s, 1))
-    for start in range(0, n_t, rows):
-        stop = min(start + rows, n_t)
-        table = np.empty((stop - start, n_s), dtype=np.intp)
-        table[:, 0] = np.arange(start, stop, dtype=np.intp)
-        for flag, parent, letter in tree:
-            table[:, flag] = target.connections[letter][table[:, parent]]
-        yield start, table
-
-
 _CHUNK = 4_000_000
 
 
-def _consistent_rows(source: FlagSystem, target: FlagSystem, table: np.ndarray) -> np.ndarray:
-    ok = np.ones(table.shape[0], dtype=bool)
-    for i in range(source.rank + 1):
-        src = source.connections[i]
-        tgt = target.connections[i]
-        ok &= (table[:, src] == tgt[table]).all(axis=1)
-    return ok
+def _isomorphisms(source: FlagSystem, target: FlagSystem):
+    """Yield every isomorphism from source onto target, in ascending order
+    of the image of flag 0.
+
+    Each target flag in turn is tried as the image of source flag 0, and
+    the images are extended along a BFS spanning tree of the source, in
+    blocks of about _CHUNK table entries.  A row is an isomorphism exactly
+    when it commutes with every connection; since the image of flag 0
+    fixes the rest, each isomorphism appears once.  Both systems must
+    have the same rank and flag count.
+    """
+    tree = _bfs_tree(source)
+    n = source.flag_count
+    rows = max(1, _CHUNK // n)
+    for start in range(0, n, rows):
+        table = np.empty((min(rows, n - start), n), dtype=np.intp)
+        table[:, 0] = np.arange(start, start + table.shape[0], dtype=np.intp)
+        for flag, parent, letter in tree:
+            table[:, flag] = target.connections[letter][table[:, parent]]
+        ok = np.ones(table.shape[0], dtype=bool)
+        for src, tgt in zip(source.connections, target.connections):
+            ok &= (table[:, src] == tgt[table]).all(axis=1)
+        for row in np.flatnonzero(ok):
+            yield _freeze(table[row].copy())
 
 
 def is_isomorphic(system: FlagSystem, other: FlagSystem):
@@ -386,27 +390,18 @@ def is_isomorphic(system: FlagSystem, other: FlagSystem):
         raise RankMismatch(system.rank, other.rank)
     if system.flag_count != other.flag_count:
         return None
-    for start, table in _transport_all(system, other, _CHUNK):
-        ok = _consistent_rows(system, other, table)
-        hits = np.nonzero(ok)[0]
-        if hits.size:
-            return _freeze(table[hits[0]])
-    return None
+    return next(_isomorphisms(system, other), None)
 
 
 def deck_transformations(system: FlagSystem) -> list[np.ndarray]:
     """All flag permutations commuting with every connection.
 
     The action of these permutations is free, so each is determined by the
-    image of flag 0; the result always contains the identity and its size
-    divides the flag count.
+    image of flag 0, and they are listed in ascending order of that image;
+    the result always contains the identity and its size divides the flag
+    count.
     """
-    found = []
-    for start, table in _transport_all(system, system, _CHUNK):
-        ok = _consistent_rows(system, system, table)
-        for row in np.nonzero(ok)[0]:
-            found.append(_freeze(table[row]))
-    return found
+    return list(_isomorphisms(system, system))
 
 
 def check_projection(cover: FlagSystem, base: FlagSystem, phi) -> tuple[bool, int | None]:

@@ -44,17 +44,16 @@ def opposite(system: FlagSystem) -> FlagSystem:
 def petrie(system: FlagSystem) -> FlagSystem:
     """Swap faces for Petrie walks; vertices and edges stay put.
 
-    At rank 2 connection 0 becomes the composite of connections 0 and 2.
-    Higher ranks reduce to dual(opposite(dual(system))), which agrees
-    with the direct form when the rank is 2.
+    Connection n−2 becomes the composite of connections n−2 and n, which
+    is dual(opposite(dual(system))) at every rank; at rank 2 it turns
+    connection 0 into the composite of connections 0 and 2.
     """
     if system.rank < 2:
         raise BadParameters(f"petrie needs rank >= 2, got {system.rank}")
-    if system.rank > 2:
-        return dual(opposite(dual(system)))
+    n = system.rank
     conns = list(system.connections)
-    conns[0] = conns[0][conns[2]]
-    return validate(system.rank, system.flag_count, conns)
+    conns[n - 2] = conns[n][conns[n - 2]]
+    return validate(n, system.flag_count, conns)
 
 
 def medial(system: FlagSystem) -> FlagSystem:

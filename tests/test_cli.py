@@ -10,7 +10,9 @@ import pytest
 
 import mapforge.cli as cli
 from mapforge import (
+    PROPERTY_CHECKS,
     cells,
+    cube_maniplex,
     i_double,
     is_isomorphic,
     parse_flag_text,
@@ -235,6 +237,15 @@ def test_sherk_rejects_bipartite(run, cube_file):
     assert err.startswith("error:")
 
 
+def test_sherk_rejects_higher_rank(run, tmp_path):
+    path = tmp_path / "maniplex.flags"
+    write_flag_file(cube_maniplex(4), str(path))
+    code, out, err = run("sherk", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: sherk_double requires a rank-2 system, got rank 3\n"
+
+
 def test_recognize_double_round_trip(run, tetra_file, tmp_path):
     cover_path = tmp_path / "cover.flags"
     assert main(["double", tetra_file, "-I", "1", "-o", str(cover_path),
@@ -362,7 +373,7 @@ def test_verify_operations_flag(run, tmp_path):
 
     code, _, err = run("verify", "--corpus", str(spec_path),
                        "--operations", "nonsense")
-    assert code == 1
+    assert code == 2
 
 
 def test_verify_corrupted_corpus_map(run, tmp_path):
@@ -374,6 +385,48 @@ def test_verify_corrupted_corpus_map(run, tmp_path):
     code, out, _ = run("verify", "--corpus", str(spec_path))
     assert code == 1
     assert out.startswith("FAIL corpus generation")
+
+
+@pytest.mark.parametrize("verb", ["validate", "validate-stdin", "verify-spec",
+                                  "verify-generator"])
+def test_non_utf8_input_is_malformed(run, tmp_path, monkeypatch, verb):
+    flags = tmp_path / "bad.flags"
+    flags.write_bytes(b"rank 2\nflags 4\xff\n")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+        io.BytesIO(flags.read_bytes()), encoding="utf-8"))
+    spec = tmp_path / "spec.json"
+    if verb == "verify-spec":
+        spec.write_bytes(b'{"generators": ["tetra\xffhedron"]}')
+    else:
+        spec.write_text(json.dumps({"generators": [f"file {flags}"]}))
+    argv = {"validate": ["validate", str(flags)],
+            "validate-stdin": ["validate", "-"]}.get(
+        verb, ["verify", "--corpus", str(spec)])
+    code, out, err = run(*argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_verify_records_a_crashing_check_as_a_failing_cell(run, tmp_path, monkeypatch):
+    def crashing(system, rng):
+        if system.flag_count == 24:
+            raise RuntimeError("boom")
+        return None
+
+    monkeypatch.setitem(PROPERTY_CHECKS, "axioms", crashing)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"generators": ["tetrahedron", "cube"],
+                                     "surgery_depth": 0,
+                                     "operations": ["axioms", "tgroup"]}))
+    code, out, _ = run("verify", "--corpus", str(spec_path))
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL axioms [tetrahedron]: RuntimeError: boom",
+        "axioms pass=1 fail=1",
+        "tgroup pass=2 fail=0",
+        "maps=2 cells=4 failures=1",
+    ]
 
 
 def test_verify_malformed_corpus_json(run, tmp_path):

@@ -46,6 +46,9 @@ def test_validate_out_of_range():
     with pytest.raises(OutOfRange) as info:
         validate(2, 4, ([1, 0, 3, 99], [3, 2, 1, 0], [2, 3, 0, 1]))
     assert info.value.value == 99
+    with pytest.raises(OutOfRange) as info:
+        validate(2, 4, ([1, 0, 3, 2], [3, 2, 1, 0], [2, 3, 0, -10**20]))
+    assert (info.value.i, info.value.f, info.value.value) == (2, 3, -10**20)
 
 
 def test_validate_not_involution():

@@ -72,6 +72,11 @@ def test_petrie_as_conjugated_opposite():
         assert opposite(system) == dual(petrie(dual(system)))
 
 
+def test_petrie_is_dual_opposite_dual_at_every_rank():
+    for system in POOL() + [cube_maniplex(n) for n in (3, 4, 5)]:
+        assert petrie(system) == dual(opposite(dual(system)))
+
+
 def test_petrie_keeps_vertices_and_edges():
     for system in POOL():
         assert len(cells(petrie(system), 0)) == len(cells(system, 0))
