@@ -165,7 +165,8 @@ def recognize_i_double(system: FlagSystem, color_set):
     if coloring is None:
         return None
     a = coloring.assignment
-    for u in _isomorphisms(system, system):
+    # a swap of the color classes sends flag 0 to the other color
+    for u in _isomorphisms(system, system, images=np.flatnonzero(a != a[0])):
         if not (a[u] != a).all():
             continue
         # quotient refuses u unless it is an involution avoiding every connection

@@ -330,53 +330,84 @@ def apply_word(system: FlagSystem, flag: int, word) -> int:
     return f
 
 
-def _bfs_tree(system: FlagSystem) -> list[tuple[int, int, int]]:
-    """Spanning-tree edges (flag, parent, letter) in BFS discovery order from flag 0."""
+def _transport_plan(system: FlagSystem):
+    """Level-synchronous BFS of the flag graph from flag 0.
+
+    Returns (groups, checks).  groups lists (flags, parents, letter), one
+    per BFS level and letter in discovery order: flags = parents . r_letter
+    are newly reached.  A connection is a permutation, so the flags of one
+    group are distinct.  checks lists (letter, flags) for every letter:
+    each edge {f, f . r_letter} outside the spanning tree appears once,
+    as its smaller flag f.
+    """
     n = system.flag_count
+    ids = np.arange(n, dtype=np.intp)
     seen = np.zeros(n, dtype=bool)
     seen[0] = True
-    order: list[tuple[int, int, int]] = []
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for letter, conn in enumerate(system.connections):
-                g = int(conn[f])
-                if not seen[g]:
-                    seen[g] = True
-                    order.append((g, f, letter))
-                    nxt.append(g)
-        frontier = nxt
-    return order
+    # tree[j][g]: g was reached by crossing r_j from its parent
+    tree = np.zeros((system.rank + 1, n), dtype=bool)
+    groups = []
+    frontier = ids[:1]
+    while frontier.size:
+        reached = []
+        for letter, conn in enumerate(system.connections):
+            img = conn[frontier]
+            new = ~seen[img]
+            flags = img[new]
+            if flags.size:
+                seen[flags] = True
+                tree[letter, flags] = True
+                groups.append((flags, frontier[new], letter))
+                reached.append(flags)
+        frontier = np.concatenate(reached) if reached else ids[:0]
+    checks = [
+        (letter, np.flatnonzero((conn > ids) & ~tree[letter] & ~tree[letter][conn]))
+        for letter, conn in enumerate(system.connections)
+    ]
+    return groups, checks
 
 
 _CHUNK = 4_000_000
+_FIRST_BLOCK = 64
 
 
-def _isomorphisms(source: FlagSystem, target: FlagSystem):
+def _isomorphisms(source: FlagSystem, target: FlagSystem, images=None):
     """Yield every isomorphism from source onto target, in ascending order
     of the image of flag 0.
 
-    Each target flag in turn is tried as the image of source flag 0, and
-    the images are extended along a BFS spanning tree of the source, in
-    blocks of about _CHUNK table entries.  A row is an isomorphism exactly
-    when it commutes with every connection; since the image of flag 0
-    fixes the rest, each isomorphism appears once.  Both systems must
-    have the same rank and flag count.
+    `images` lists the candidate images of source flag 0 in ascending
+    order (default: every target flag).  A block of candidates is
+    transported along the BFS tree of _transport_plan, one 2-D gather per
+    group into a flags-major table; a column then fixes every flag.  Tree
+    edges hold by construction in both directions, since connections are
+    involutions, so a column is an isomorphism exactly when every listed
+    non-tree edge commutes.  The image of flag 0 fixes the rest, so each
+    isomorphism appears once.  Blocks start at _FIRST_BLOCK columns and
+    double up to about _CHUNK table entries.  Both systems must have the
+    same rank and flag count.
     """
-    tree = _bfs_tree(source)
+    groups, checks = _transport_plan(source)
     n = source.flag_count
-    rows = max(1, _CHUNK // n)
-    for start in range(0, n, rows):
-        table = np.empty((min(rows, n - start), n), dtype=np.intp)
-        table[:, 0] = np.arange(start, start + table.shape[0], dtype=np.intp)
-        for flag, parent, letter in tree:
-            table[:, flag] = target.connections[letter][table[:, parent]]
-        ok = np.ones(table.shape[0], dtype=bool)
-        for src, tgt in zip(source.connections, target.connections):
-            ok &= (table[:, src] == tgt[table]).all(axis=1)
-        for row in np.flatnonzero(ok):
-            yield _freeze(table[row].copy())
+    tconns = target.connections
+    if images is None:
+        images = np.arange(n, dtype=np.intp)
+    cap = max(1, _CHUNK // n)
+    width = min(_FIRST_BLOCK, cap)
+    start = 0
+    while start < len(images):
+        block = images[start:start + width]
+        start += block.size
+        width = min(2 * width, cap)
+        table = np.empty((n, block.size), dtype=np.intp)
+        table[0] = block
+        for flags, parents, letter in groups:
+            table[flags] = tconns[letter][table[parents]]
+        ok = np.ones(block.size, dtype=bool)
+        for letter, flags in checks:
+            conn = source.connections[letter]
+            ok &= (table[conn[flags]] == tconns[letter][table[flags]]).all(axis=0)
+        for col in np.flatnonzero(ok):
+            yield _freeze(table[:, col].copy())
 
 
 def is_isomorphic(system: FlagSystem, other: FlagSystem):
@@ -399,7 +430,8 @@ def deck_transformations(system: FlagSystem) -> list[np.ndarray]:
     The action of these permutations is free, so each is determined by the
     image of flag 0, and they are listed in ascending order of that image;
     the result always contains the identity and its size divides the flag
-    count.
+    count.  A regular map with N flags has N decks of N entries each, so
+    listing them all is Theta(N^2) output whatever the search costs.
     """
     return list(_isomorphisms(system, system))
 

@@ -1,33 +1,58 @@
 """The lazy isomorphism search behind is_isomorphic, deck_transformations
-and recognize_i_double."""
+and recognize_i_double, against the per-flag reference in
+isomorphism_reference.
+
+Maps: the default corpus (cube-maniplex 4 is its rank-3 member), every
+I-double of it, a seeded relabeling of each, and a relabeled
+grid 2 600 0, whose BFS from flag 0 is a thousand levels deep.
+"""
+
+from collections import deque
 
 import numpy as np
 import pytest
 
+import isomorphism_reference as ref
 import mapforge.flagsys as flagsys
 from mapforge import (
     ColorSet,
     CorpusSpec,
     build_corpus,
+    cells,
     deck_transformations,
     find_coloring,
+    grid_map,
     i_double,
     is_isomorphic,
     quotient,
     recognize_i_double,
+    surface_signature,
+    tri_torus,
     validate,
 )
+from mapforge.cli import main
+from mapforge.corpus import invoke_generator
 from mapforge.errors import ValidationError
+from mapforge.fileio import write_flag_file
+from mapforge.flagsys import _transport_plan
 
 CORPUS = [system for _, system in build_corpus(CorpusSpec())]
 
 
-def _relabeled(system, seed):
-    perm = np.random.default_rng(seed).permutation(system.flag_count)
+def _relabeled_by(system, perm):
+    """The same map with flag f renamed perm[f]."""
     inverse = np.empty_like(perm)
     inverse[perm] = np.arange(system.flag_count)
     return validate(system.rank, system.flag_count,
                     [perm[conn[inverse]] for conn in system.connections])
+
+
+def _relabeled(system, seed):
+    return _relabeled_by(system, np.random.default_rng(seed).permutation(system.flag_count))
+
+
+def _reversed(system):
+    return _relabeled_by(system, np.arange(system.flag_count)[::-1])
 
 
 def _covers():
@@ -40,8 +65,11 @@ def _covers():
                 yield result.system, color_set
 
 
+COVERS = [cover for cover, _ in _covers()]
+
+
 def _reference_recognition(system, color_set):
-    """The first deck, in deck_transformations order, that swaps the color
+    """The first deck, in the reference deck order, that swaps the color
     classes, is an involution, avoids every connection and that quotient
     accepts; returned with its index in that order."""
     coloring = find_coloring(system, color_set)
@@ -49,7 +77,7 @@ def _reference_recognition(system, color_set):
         return None
     a = coloring.assignment
     ids = np.arange(system.flag_count)
-    for index, u in enumerate(deck_transformations(system)):
+    for index, u in enumerate(ref.deck_transformations(system)):
         if (u[u] != ids).any() or (a[u] == a).any():
             continue
         if any((u == conn).any() for conn in system.connections):
@@ -90,23 +118,140 @@ def test_recognize_takes_the_first_qualifying_deck():
     assert max(hit_indices) > 1
 
 
+def _same(got, want):
+    return (got is None) == (want is None) and (got is None or np.array_equal(got, want))
+
+
+def _same_list(got, want):
+    return len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_deck_transformations_match_the_reference():
+    systems = CORPUS + COVERS
+    for k, system in enumerate(systems):
+        for case in (system, _relabeled(system, k)):
+            assert _same_list(deck_transformations(case), ref.deck_transformations(case))
+
+
+def test_is_isomorphic_matches_the_reference():
+    deep = grid_map(2, 600, 0)
+    pairs = [(deep, _relabeled(deep, 5)), (_relabeled(deep, 6), deep)]
+    for k, system in enumerate(CORPUS + COVERS):
+        pairs.append((system, _relabeled(system, k)))
+    pairs += [(s, t) for s in CORPUS for t in CORPUS
+              if s.rank == t.rank and s.flag_count == t.flag_count]
+    hits = 0
+    for source, target in pairs:
+        got = is_isomorphic(source, target)
+        assert _same(got, ref.is_isomorphic(source, target))
+        hits += got is not None
+    # the corpus holds equal-sized maps that are not isomorphic
+    assert 0 < hits < len(pairs)
+
+
 SMALL = [s for s in CORPUS if s.flag_count <= 96]
+# No deck but the identity; with the reversed numbering the only image of
+# flag 0 is the last flag.  The I-doubles have twice the flags.
+ASYMMETRIC = next(s for s in CORPUS if s.flag_count > 256 and len(deck_transformations(s)) == 1)
+WIDE = [ASYMMETRIC] + [i_double(ASYMMETRIC, ColorSet(2, mask)).system for mask in (1, 7)]
 
 
-@pytest.mark.parametrize("chunk", [1, 500])
+@pytest.mark.parametrize("chunk", [1, 500, flagsys._CHUNK])
 def test_search_block_size_does_not_change_results(monkeypatch, chunk):
-    systems = SMALL + [_relabeled(s, 7) for s in SMALL]
-    default_decks = [deck_transformations(s) for s in systems]
-    default_isos = [is_isomorphic(s, t) for s in SMALL for t in SMALL]
+    """Single-column blocks, capped blocks, and blocks that double from
+    _FIRST_BLOCK columns across several boundaries before a hit and
+    inside a full deck enumeration, all give the reference results."""
+    systems = SMALL + [_relabeled(s, 7) for s in SMALL] + WIDE
+    pairs = [(s, t) for s in SMALL for t in SMALL] + [(s, _reversed(s)) for s in WIDE]
+    want_decks = [ref.deck_transformations(s) for s in systems]
+    want_isos = [ref.is_isomorphic(s, t) for s, t in pairs]
+    # a 592-flag hit passes the boundaries at 64, 192 and 448 columns
+    assert max(int(w[0]) for w in want_isos if w is not None) > 448
     monkeypatch.setattr(flagsys, "_CHUNK", chunk)
-    for system, want in zip(systems, default_decks):
-        got = deck_transformations(system)
-        assert len(got) == len(want)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    got_isos = [is_isomorphic(s, t) for s in SMALL for t in SMALL]
-    for got, want in zip(got_isos, default_isos):
-        assert (got is None) == (want is None)
-        assert got is None or np.array_equal(got, want)
+    for system, want in zip(systems, want_decks):
+        assert _same_list(deck_transformations(system), want)
+    for (s, t), want in zip(pairs, want_isos):
+        assert _same(is_isomorphic(s, t), want)
+
+
+def test_candidate_images_restrict_the_search():
+    system = invoke_generator("cube")
+    decks = deck_transformations(system)
+    images = np.arange(1, system.flag_count, 3)
+    got = list(flagsys._isomorphisms(system, system, images=images))
+    want = [d for d in decks if d[0] % 3 == 1]
+    assert len(want) == 16 and _same_list(got, want)
+
+
+def _bfs_depth(system):
+    dist = np.full(system.flag_count, -1)
+    dist[0] = 0
+    queue = deque([0])
+    while queue:
+        f = queue.popleft()
+        for conn in system.connections:
+            g = int(conn[f])
+            if dist[g] < 0:
+                dist[g] = dist[f] + 1
+                queue.append(g)
+    return int(dist.max())
+
+
+def test_transport_plan_is_level_synchronous():
+    system = tri_torus(30, 30)
+    n, rank = system.flag_count, system.rank
+    groups, checks = _transport_plan(system)
+    # one group per BFS level and letter, not one step per flag
+    assert len(groups) <= (rank + 1) * (_bfs_depth(system) + 1)
+    assert 20 * len(groups) < n
+    tree, reached = set(), {0}
+    for flags, parents, letter in groups:
+        assert np.array_equal(flags, system.connections[letter][parents])
+        assert reached.issuperset(parents.tolist())
+        assert reached.isdisjoint(flags.tolist())
+        reached.update(flags.tolist())
+        tree.update((letter, min(f, p), max(f, p)) for f, p in zip(flags.tolist(), parents.tolist()))
+    assert len(reached) == n and len(tree) == n - 1
+    listed = [(letter, f, int(system.connections[letter][f]))
+              for letter, flags in checks for f in flags.tolist()]
+    assert all(f < g for _, f, g in listed)
+    # every edge outside the tree, each exactly once
+    every_edge = {(j, f, int(conn[f])) for j, conn in enumerate(system.connections)
+                  for f in range(n) if f < conn[f]}
+    assert len(listed) == len(set(listed))
+    assert set(listed) == every_edge - tree
+
+
+def _degrees(system):
+    return [sorted(c.degree for c in cells(system, i)) for i in range(system.rank + 1)]
+
+
+@pytest.mark.parametrize("first, second, isomorphic", [
+    ("tri-torus 3 4", "tri-torus 2 6", False),
+    ("tri-torus 2 6", "tri-torus 1 12", False),
+    ("grid 4 6 0", "grid 6 4 0", False),
+    ("grid 4 6 2", "grid 6 4 2", False),
+    ("tri-torus 3 4", "tri-torus 4 3", True),
+])
+def test_maps_sharing_every_invariant(tmp_path, capsys, first, second, isomorphic):
+    """Same flag count, surface and cell degrees; only the search tells
+    the pairs apart."""
+    a, b = invoke_generator(first), invoke_generator(second)
+    assert a.flag_count == b.flag_count
+    assert surface_signature(a) == surface_signature(b)
+    assert _degrees(a) == _degrees(b)
+    for s, t in ((a, b), (b, a)):
+        got = is_isomorphic(s, t)
+        assert (got is not None) == isomorphic
+        assert _same(got, ref.is_isomorphic(s, t))
+    paths = [str(tmp_path / "a.flags"), str(tmp_path / "b.flags")]
+    write_flag_file(a, paths[0])
+    write_flag_file(b, paths[1])
+    for argv in (paths, paths[::-1]):
+        code = main(["iso", *argv])
+        out = capsys.readouterr().out
+        assert code == (0 if isomorphic else 1)
+        assert out.splitlines()[0] == f"isomorphic={str(isomorphic).lower()}"
 
 
 def test_returned_isomorphisms_are_read_only_copies():
