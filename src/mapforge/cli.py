@@ -14,7 +14,6 @@ import dataclasses
 import json
 import os
 import sys
-from collections import Counter
 
 import numpy as np
 
@@ -44,8 +43,7 @@ from .errors import (
 from .fileio import parse_flag_text, read_flag_file, write_flag_text
 from .flagsys import (
     FlagSystem,
-    cells,
-    euler_characteristic,
+    cell_labels,
     is_isomorphic,
     surface_signature,
     SurfaceSignature,
@@ -96,9 +94,9 @@ def _ints_line(values) -> str:
     return " ".join(str(int(v)) for v in values)
 
 
-def _degree_summary(cell_list) -> str:
-    counts = Counter(c.degree for c in cell_list)
-    return ",".join(f"{d}:{n}" for d, n in sorted(counts.items()))
+def _degree_summary(labels) -> str:
+    degrees, counts = np.unique(np.bincount(labels) // 2, return_counts=True)
+    return ",".join(f"{d}:{n}" for d, n in zip(degrees.tolist(), counts.tolist()))
 
 
 # --- verbs -----------------------------------------------------------
@@ -113,21 +111,20 @@ def cmd_validate(args) -> int:
 def cmd_info(args) -> int:
     system = _read_system(args.file)
     group = coloring_group(system)
+    labels = [cell_labels(system, i) for i in range(system.rank + 1)]
     if system.rank != 2:
         pairs = [("rank", system.rank), ("flags", system.flag_count)]
-        pairs += [(f"cells{i}", len(cells(system, i))) for i in range(system.rank + 1)]
+        pairs += [(f"cells{i}", count) for i, (_, count) in enumerate(labels)]
         pairs.append(("T", str(group)))
         _report(args, pairs)
         return 0
-    vertices = cells(system, 0)
-    edges = cells(system, 1)
-    faces = cells(system, 2)
-    chi = euler_characteristic(system)
+    (vertices, nv), (_, ne), (faces, nf) = labels
     signature = surface_signature(system)
+    chi = signature.euler_characteristic
     if args.json:
         print(json.dumps({
             "rank": 2, "flags": system.flag_count,
-            "V": len(vertices), "E": len(edges), "F": len(faces),
+            "V": nv, "E": ne, "F": nf,
             "chi": chi, "surface": str(signature), "T": str(group),
             "vertex_degrees": _degree_summary(vertices),
             "face_degrees": _degree_summary(faces),
@@ -135,8 +132,7 @@ def cmd_info(args) -> int:
         return 0
     print("rank=2")
     print(f"flags={system.flag_count}")
-    print(f"V={len(vertices)} E={len(edges)} F={len(faces)} "
-          f"chi={chi} surface={signature} T={group}")
+    print(f"V={nv} E={ne} F={nf} chi={chi} surface={signature} T={group}")
     print(f"vertex_degrees={_degree_summary(vertices)}")
     print(f"face_degrees={_degree_summary(faces)}")
     return 0

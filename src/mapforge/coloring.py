@@ -13,6 +13,10 @@ edges carry a binary "circular direction" and every crossing imposes a
 parity relation), which is exactly the existence question for the
 matching arrow assignment.
 
+One relation builder, _cell_relations, makes that cell graph for its
+three users: direct_pso (arrows), i_face_bipartite (bridges) and
+construct._conflicts (the edges make_property fixes).
+
 Both routes run on the orbit kernel of flagsys (flagsys._orbits), which
 gives every flag a bitmask potential relative to the smallest flag of
 its orbit.  A coloring is a one-bit potential.  coloring_group is a
@@ -46,7 +50,6 @@ from .flagsys import (
     _orbits,
     _root_labels,
     apply_word,
-    cell_labels,
 )
 
 __all__ = [
@@ -360,17 +363,23 @@ PSO_KINDS = {
 }
 
 
-def _alternating_reference(system: FlagSystem, inner) -> np.ndarray:
-    """Per-flag bit alternating across both `inner` connections.
+def _cell_relations(system: FlagSystem, dim: int, flip: int, alternate: bool):
+    """(count, edges, flips) of the graph of dimension-`dim` cells.
 
-    Within each cell spanned by the two connections this fixes one of
-    the two possible circular directions, with bit 0 on the cell's
-    smallest flag; cells are even alternating cycles, so the parity
-    never clashes.
+    One kernel pass over the connections other than r_dim numbers the
+    cells by smallest flag; the edge group joins the cells of f and
+    f . r_dim for every flag f, and a per-cell bit changes by `flip` across
+    it.  With `alternate` the pass also carries a reference bit alternating
+    across every other letter, one circular direction per rank-2 cell
+    (0 on its smallest flag), and corrects the change by it.
     """
-    letters = [(None, system.connections[j]) for j in inner]
-    _, ref, _ = _orbits(system.flag_count, letters, [1] * len(letters))
-    return ref
+    letters = [(None, c) for j, c in enumerate(system.connections) if j != dim]
+    flips = [1] * len(letters) if alternate else None
+    root, ref, _ = _orbits(system.flag_count, letters, flips)
+    labels, count = _root_labels(root)
+    cross = system.connections[dim]
+    edges = [(labels, labels[cross])]
+    return count, edges, [flip ^ ref ^ ref[cross] if alternate else flip]
 
 
 def direct_pso(system: FlagSystem, kind: str) -> ArrowAssignment | None:
@@ -387,17 +396,10 @@ def direct_pso(system: FlagSystem, kind: str) -> ArrowAssignment | None:
         raise RankNotTwo(system.rank, "direct_pso")
     if kind not in PSO_KINDS:
         raise BadParameters(f"unknown pseudo-orientation kind {kind!r}")
-    dim, inner, crossing, flip = PSO_KINDS[kind]
-    # The inner letters are exactly those spanning a dimension-dim cell, so
-    # one pass yields the cells (by smallest flag) and the reference bits.
-    letters = [(None, system.connections[j]) for j in inner]
-    root, ref, _ = _orbits(system.flag_count, letters, [1, 1])
-    labels, count = _root_labels(root)
-    cross = system.connections[crossing]
-    # The direction bits must satisfy bit[A] ^ bit[B] = flip ^ ref[f] ^ ref[g]
-    # so that the induced flag coloring crosses r_crossing with parity flip.
-    edges = [(labels, labels[cross])]
-    relations = [flip ^ ref ^ ref[cross]]
+    dim, _, _, flip = PSO_KINDS[kind]
+    # Bits with bit[A] ^ bit[B] = flip ^ ref[f] ^ ref[g] across every crossing
+    # induce a flag coloring that crosses r_dim with parity flip.
+    count, edges, relations = _cell_relations(system, dim, flip, True)
     _, bits, _ = _orbits(count, edges, relations)
     if _cycle_basis(bits, edges, relations):
         return None
@@ -413,7 +415,6 @@ def i_face_bipartite(system: FlagSystem, i: int) -> bool:
     """
     if not 0 <= i <= system.rank:
         raise BadParameters(f"index {i} out of range 0..{system.rank}")
-    labels, count = cell_labels(system, omit=i)
-    edges = [(labels, labels[system.connections[i]])]
-    _, side, _ = _orbits(count, edges, [1])
-    return not _cycle_basis(side, edges, [1])
+    count, edges, flips = _cell_relations(system, i, 1, False)
+    _, side, _ = _orbits(count, edges, flips)
+    return not _cycle_basis(side, edges, flips)

@@ -18,7 +18,7 @@ import numpy as np
 from .coloring import (
     ColoringGroup,
     ColorSet,
-    _alternating_reference,
+    _cell_relations,
     all_subgroups,
     coloring_group,
 )
@@ -38,6 +38,7 @@ from .flagsys import (
     Cell,
     FlagSystem,
     SurfaceSignature,
+    _has_odd_cell,
     cell_labels,
     surface_signature,
     validate,
@@ -492,7 +493,7 @@ def _edge_corners(system: FlagSystem, edge: Cell) -> tuple[int, int, int, int]:
 
 
 def _edge_flags(system: FlagSystem) -> np.ndarray:
-    """Smallest flag of every edge, ascending: the order of cells(system, 1)."""
+    """Smallest flag of every edge, ascending: edge i of cell_labels(system, 1)."""
     r0, r2 = system.connections[0], system.connections[2]
     f = np.arange(system.flag_count)
     return np.flatnonzero((f < r0) & (f < r2) & (f < r2[r0]))
@@ -564,23 +565,17 @@ def triple_edge(system: FlagSystem, edge: Cell) -> FlagSystem:
 # goal-directed adjustment
 
 
-def _conflicts(system: FlagSystem, dim: int, inner) -> np.ndarray:
+def _conflicts(system: FlagSystem, dim: int, flip: int, alternate: bool) -> np.ndarray:
     """Edges (by smallest flag) that break a breadth-first assignment of
-    one bit per dimension-`dim` cell.
+    one bit per dimension-`dim` cell on the graph of _cell_relations.
 
-    Crossing an edge by r_dim must change the bit by 1 when inner is
-    None (a two-coloring), else by the change of the alternating
-    reference on the `inner` connections (a consistent direction).
+    The BFS runs from cell 0 in edge order, so the chosen edges do not
+    depend on the orbit kernel's spanning forest.
     """
-    labels, count = cell_labels(system, omit=dim)
-    cross = system.connections[dim]
+    count, [(labels, across)], [change] = _cell_relations(system, dim, flip, alternate)
     a = _edge_flags(system)
-    u, w = labels[a], labels[cross[a]]
-    if inner is None:
-        gamma = np.ones(a.size, dtype=np.intp)
-    else:
-        ref = _alternating_reference(system, inner)
-        gamma = (ref[a] ^ ref[cross[a]]).astype(np.intp)
+    u, w = labels[a], across[a]
+    gamma = np.broadcast_to(change, labels.shape)[a]
     adj: list[list[tuple[int, int]]] = [[] for _ in range(count)]
     for x, y, g in zip(u.tolist(), w.tolist(), gamma.tolist()):
         adj[x].append((y, g))
@@ -601,8 +596,8 @@ def _conflicts(system: FlagSystem, dim: int, inner) -> np.ndarray:
 def _make_odd(system: FlagSystem, dim: int) -> FlagSystem:
     """Make some dimension-`dim` cell odd: one insertion at an edge
     between two different such cells adds a side to both."""
-    labels, count = cell_labels(system, omit=dim)
-    if (np.bincount(labels, minlength=count) // 2 % 2).any():
+    labels, _ = cell_labels(system, omit=dim)
+    if _has_odd_cell(labels):
         return system
     letter = 2 - dim
     a = _edge_flags(system)
@@ -614,13 +609,13 @@ def _make_odd(system: FlagSystem, dim: int) -> FlagSystem:
     return _insert_edges(once, a[:1], letter)
 
 
-# goal -> (cell dimension, inner connections or None for a two-coloring);
+# goal -> (cell dimension, bit change across r_dim, alternating reference?);
 # the insertion letter at each conflicting edge equals the dimension.
 _CONFLICT_GOALS = {
-    "vertex_bipartite": (0, None),
-    "face_bipartite": (2, None),
-    "vpso": (0, (1, 2)),
-    "fpso": (2, (0, 1)),
+    "vertex_bipartite": (0, 1, False),
+    "face_bipartite": (2, 1, False),
+    "vpso": (0, 0, True),
+    "fpso": (2, 0, True),
 }
 _ODD_GOALS = {"odd_face": 2, "odd_vertex": 0}
 MAKE_GOALS = tuple(_CONFLICT_GOALS) + tuple(_ODD_GOALS)
@@ -641,8 +636,8 @@ def make_property(system: FlagSystem, goal: str) -> FlagSystem:
     if system.rank != 2:
         raise RankNotTwo(system.rank, "make_property")
     if goal in _CONFLICT_GOALS:
-        dim, inner = _CONFLICT_GOALS[goal]
-        conflicts = _conflicts(system, dim, inner)
+        dim, flip, alternate = _CONFLICT_GOALS[goal]
+        conflicts = _conflicts(system, dim, flip, alternate)
         return _insert_edges(system, conflicts, dim) if conflicts.size else system
     if goal in _ODD_GOALS:
         return _make_odd(system, _ODD_GOALS[goal])

@@ -55,7 +55,8 @@ from .errors import (
 from .fileio import parse_flag_text, read_flag_file, write_flag_file, write_flag_text
 from .flagsys import (
     FlagSystem,
-    cells,
+    _has_odd_cell,
+    cell_labels,
     check_projection,
     euler_characteristic,
     is_isomorphic,
@@ -290,7 +291,7 @@ def _check_pso_oracle(system, rng):
             return f"{kind}: arrows={'yes' if witness else 'no'} coloring={want}"
         if is_pseudo_orientable(system, inner) != want:
             return f"{kind}: is_pseudo_orientable disagrees with colorability"
-        if witness is not None and len(witness.arrows) != len(cells(system, dim)):
+        if witness is not None and len(witness.arrows) != cell_labels(system, dim)[1]:
             return f"{kind}: arrow count differs from cell count"
     return None
 
@@ -303,8 +304,8 @@ def _check_parity_necessity(system, rng):
     if system.rank != 2:
         return None
     group = coloring_group(system)
-    odd_face = any(c.degree % 2 for c in cells(system, 2))
-    odd_vertex = any(c.degree % 2 for c in cells(system, 0))
+    odd_face = _has_odd_cell(cell_labels(system, 2)[0])
+    odd_vertex = _has_odd_cell(cell_labels(system, 0)[0])
     if odd_face:
         for indices in _NEEDS_EVEN_FACES:
             member = ColorSet.of(indices, 2)
@@ -335,20 +336,18 @@ def _check_transfers(system, rng):
     for member in _all_color_sets(system.rank):
         if (member in group) != (dual_color_set(member) in dual_group):
             return f"dual transfer fails at {member}"
-    if system.rank != 2:
+    if system.rank < 2:
         return None
     opp_group = coloring_group(opposite(system))
     pet_group = coloring_group(petrie(system))
-    for member in _all_color_sets(2):
+    for member in _all_color_sets(system.rank):
         if (member in group) != (opposite_color_set(member) in opp_group):
             return f"opposite transfer fails at {member}"
         if (member in group) != (petrie_color_set(member) in pet_group):
             return f"petrie transfer fails at {member}"
-    full = ColorSet.full(2)
-    has_all = len(group.masks) == 8
-    all_orientable = (
-        full in group and full in opp_group and full in pet_group)
-    if has_all != all_orientable:
+    full = ColorSet.full(system.rank)
+    all_orientable = full in group and full in opp_group and full in pet_group
+    if system.rank == 2 and (len(group.masks) == 8) != all_orientable:
         return ("full power-set group should hold exactly when the map, "
                 "its opposite and its petrie are all orientable")
     return None
@@ -370,7 +369,7 @@ def _check_medial_table(system, rng):
             return f"medial table row {src} -> {dst} fails"
     if euler_characteristic(med) != euler_characteristic(system):
         return "medial changed the Euler characteristic"
-    if len(cells(med, 0)) != len(cells(system, 1)):
+    if cell_labels(med, 0)[1] != cell_labels(system, 1)[1]:
         return "medial vertex count differs from edge count"
     return None
 
@@ -492,8 +491,8 @@ _GOAL_HOLDS = {
     "face_bipartite": lambda s: i_face_bipartite(s, 2),
     "vpso": lambda s: direct_pso(s, "vertex") is not None,
     "fpso": lambda s: direct_pso(s, "face") is not None,
-    "odd_face": lambda s: any(c.degree % 2 for c in cells(s, 2)),
-    "odd_vertex": lambda s: any(c.degree % 2 for c in cells(s, 0)),
+    "odd_face": lambda s: _has_odd_cell(cell_labels(s, 2)[0]),
+    "odd_vertex": lambda s: _has_odd_cell(cell_labels(s, 0)[0]),
 }
 
 

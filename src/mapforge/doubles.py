@@ -41,8 +41,8 @@ class DoubleResult:
     """Outcome of doubling: either a genuine cover or two split copies.
 
     split is true when the construction disconnected; `system` is then
-    the component of flag (0, 0), a relabeled copy of the input, and
-    the projection maps its flags back with every fiber of size 1.
+    the component of flag (0, 0), which is the input itself, and the
+    projection is the identity.
     Otherwise `system` has twice the flags and fibers of size 2.
     """
 
@@ -84,12 +84,9 @@ def i_double(system: FlagSystem, color_set) -> DoubleResult:
             split=False, system=doubled, projection=np.arange(2 * n, dtype=np.intp) // 2
         )
 
-    # Disconnected: two mirror copies.  Keep the one holding flag (0, 0).
-    members = np.nonzero(root == 0)[0]
-    lab = np.full(2 * n, -1, dtype=np.intp)
-    lab[members] = np.arange(members.size, dtype=np.intp)
-    part = validate(system.rank, members.size, [lab[s[members]] for s in lifted])
-    return DoubleResult(split=True, system=part, projection=members // 2)
+    # Disconnected: the (0, 0) component holds exactly the flags (f, c(f)) for
+    # the I-coloring c with c(0) = 0, so in ascending order it is the input.
+    return DoubleResult(split=True, system=system, projection=ids)
 
 
 def sherk_double(system: FlagSystem) -> FlagSystem:

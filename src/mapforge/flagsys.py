@@ -258,6 +258,11 @@ def _root_labels(root: np.ndarray) -> tuple[np.ndarray, int]:
     return number[root], int(number[-1]) + 1
 
 
+def _has_odd_cell(labels: np.ndarray) -> bool:
+    """Does some cell of a cell_labels array have odd degree (half its flags)?"""
+    return bool((np.bincount(labels) // 2 % 2).any())
+
+
 def cells(system: FlagSystem, i: int) -> list[Cell]:
     """All dimension-i cells, numbered by smallest contained flag."""
     if not 0 <= i <= system.rank:

@@ -93,7 +93,9 @@ def opposite_color_set(color_set: ColorSet) -> ColorSet:
 
 
 def petrie_color_set(color_set: ColorSet) -> ColorSet:
-    """Transfer rule through petrie: toggle 0 whenever 2 is present."""
-    if 2 in color_set:
-        return color_set ^ ColorSet.of((0,), color_set.rank)
+    """Transfer rule through petrie at rank n: toggle n−2 whenever n is
+    present, since the new r_{n−2} is the composite of r_{n−2} and r_n."""
+    n = color_set.rank
+    if n in color_set:
+        return color_set ^ ColorSet.of((n - 2,), n)
     return color_set

@@ -14,9 +14,9 @@ from collections import deque
 import numpy as np
 
 from mapforge import cell_labels, cells, edge_of, validate
-from mapforge.coloring import _alternating_reference
 from mapforge.construct import _edge_corners
 from mapforge.errors import BadParameters, RankNotTwo
+from orbit_reference import alternating_reference
 
 
 def _extended(system, extra):
@@ -83,7 +83,7 @@ def _vertexish_conflicts(system, dim, crossing):
 
 def _psoish_conflicts(system, dim, inner, crossing):
     labels, count = cell_labels(system, omit=dim)
-    ref = _alternating_reference(system, inner)
+    ref = alternating_reference(system, inner)
     cross = system.connections[crossing]
     edges = []
     adj = [[] for _ in range(count)]

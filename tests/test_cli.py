@@ -11,8 +11,12 @@ import pytest
 import mapforge.cli as cli
 from mapforge import (
     PROPERTY_CHECKS,
+    CorpusSpec,
+    build_corpus,
     cells,
+    coloring_group,
     cube_maniplex,
+    euler_characteristic,
     i_double,
     is_isomorphic,
     parse_flag_text,
@@ -120,6 +124,50 @@ def test_info_higher_rank(run, tmp_path):
     assert "flags=384" in lines
     assert "cells0=16" in lines
     assert "T=e,0,123,0123" in lines
+
+
+def _expected_degrees(system, i):
+    degrees = sorted(c.degree for c in cells(system, i))
+    return ",".join(f"{d}:{degrees.count(d)}" for d in sorted(set(degrees)))
+
+
+@pytest.mark.parametrize("name,system", build_corpus(CorpusSpec()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_info_on_the_default_corpus(run, tmp_path, name, system):
+    """Counts and degree summaries from the public cells(), chi from
+    euler_characteristic: surgeried maps carry bigons and degree-2
+    vertices, and cube-maniplex 4 is rank 3."""
+    path = tmp_path / "map.flags"
+    write_flag_file(system, str(path))
+    counts = [len(cells(system, i)) for i in range(system.rank + 1)]
+    group = str(coloring_group(system))
+    code, out, _ = run("info", str(path))
+    assert code == 0
+    if system.rank != 2:
+        assert out.splitlines() == (
+            [f"rank={system.rank}", f"flags={system.flag_count}"]
+            + [f"cells{i}={c}" for i, c in enumerate(counts)] + [f"T={group}"])
+        code, out, _ = run("info", str(path), "--json")
+        assert code == 0
+        assert json.loads(out) == {"rank": system.rank, "flags": system.flag_count,
+                                   **{f"cells{i}": c for i, c in enumerate(counts)},
+                                   "T": group}
+        return
+    chi = euler_characteristic(system)
+    surface = str(surface_signature(system))
+    vertex_degrees = _expected_degrees(system, 0)
+    face_degrees = _expected_degrees(system, 2)
+    assert out.splitlines() == [
+        "rank=2", f"flags={system.flag_count}",
+        f"V={counts[0]} E={counts[1]} F={counts[2]} chi={chi} surface={surface} T={group}",
+        f"vertex_degrees={vertex_degrees}", f"face_degrees={face_degrees}"]
+    code, out, _ = run("info", str(path), "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "rank": 2, "flags": system.flag_count,
+        "V": counts[0], "E": counts[1], "F": counts[2],
+        "chi": chi, "surface": surface, "T": group,
+        "vertex_degrees": vertex_degrees, "face_degrees": face_degrees}
 
 
 def test_info_reads_stdin(run, monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mapforge import (
+    ColorSet,
     CorpusSpec,
     DEFAULT_GENERATORS,
     PROPERTY_CHECKS,
@@ -137,6 +138,20 @@ def test_run_verify_all_pass():
     assert lines[-1] == "maps=8 cells=144 failures=0"
     for check_id in PROPERTY_CHECKS:
         assert f"{check_id} pass=8 fail=0" in lines
+
+
+def test_transfers_check_covers_every_rank(monkeypatch):
+    """The opposite/petrie half of the transfers check runs at rank 3 too."""
+    import mapforge.corpus as corpus
+
+    system = cube_maniplex(4)
+    assert PROPERTY_CHECKS["transfers"](system, None) is None
+
+    def rank2_rule(cs):
+        return cs ^ ColorSet.of((0,), cs.rank) if 2 in cs else cs
+
+    monkeypatch.setattr(corpus, "petrie_color_set", rank2_rule)
+    assert PROPERTY_CHECKS["transfers"](system, None).startswith("petrie transfer fails")
 
 
 def test_run_verify_workers_match_sequential():

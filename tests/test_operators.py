@@ -121,19 +121,25 @@ def test_color_set_transfer_maps():
     assert opposite_color_set(ColorSet.of((1,), 2)) == ColorSet.of((1,), 2)
     assert petrie_color_set(ColorSet.of((2,), 2)) == ColorSet.of((0, 2), 2)
     assert petrie_color_set(ColorSet.of((1,), 2)) == ColorSet.of((1,), 2)
+    # at rank n petrie toggles n-2 whenever n is present
+    assert petrie_color_set(ColorSet.of((3,), 3)) == ColorSet.of((1, 3), 3)
+    assert petrie_color_set(ColorSet.of((0, 2), 3)) == ColorSet.of((0, 2), 3)
+    assert petrie_color_set(ColorSet.of((2, 4), 4)) == ColorSet.of((4,), 4)
 
 
 def test_transfer_rules_hold():
-    for system in POOL():
+    # cube_maniplex(4) and (5) are ranks 3 and 4, where the rank-2 petrie
+    # rule (toggle 0 whenever 2 is present) mispredicts T(petrie)
+    for system in POOL() + [cube_maniplex(4), cube_maniplex(5)]:
         group = coloring_group(system)
         dual_group = coloring_group(dual(system))
         opp_group = coloring_group(opposite(system))
         pet_group = coloring_group(petrie(system))
-        for mask in range(8):
-            member = ColorSet(2, mask)
+        for mask in range(1 << (system.rank + 1)):
+            member = ColorSet(system.rank, mask)
             assert (member in group) == (dual_color_set(member) in dual_group)
             assert (member in group) == (opposite_color_set(member) in opp_group)
-            assert (member in group) == (petrie_color_set(member) in pet_group)
+            assert (member in group) == (petrie_color_set(member) in pet_group), str(member)
 
 
 def test_full_group_criterion():

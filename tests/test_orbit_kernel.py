@@ -28,7 +28,7 @@ from mapforge import (
     strip_map,
     validate,
 )
-from mapforge.coloring import PSO_KINDS, _alternating_reference
+from mapforge.coloring import PSO_KINDS, _cell_relations
 from mapforge.errors import Disconnected
 from mapforge.flagsys import _orbits
 
@@ -104,10 +104,23 @@ def test_coloring_group_excluding_cell_matches_reference():
 
 
 def test_alternating_reference_matches_reference():
+    """_cell_relations' flips are flip ^ ref ^ ref[cross], with the
+    reference taken from the pure-Python oracle; without `alternate` they
+    are the plain flip."""
     for name, system in RANK2:
-        for inner in ((0, 1), (1, 2), (0, 2)):
-            got = _alternating_reference(system, inner)
-            assert np.array_equal(got, ref.alternating_reference(system, inner)), name
+        for dim in range(3):
+            inner = tuple(j for j in range(3) if j != dim)
+            labels, count = ref.cell_labels(system, dim)
+            cross = system.connections[dim]
+            alt = ref.alternating_reference(system, inner)
+            for flip in (0, 1):
+                got_count, [(src, dst)], [change] = _cell_relations(system, dim, flip, True)
+                assert got_count == count, name
+                assert np.array_equal(src, labels), name
+                assert np.array_equal(dst, labels[cross]), name
+                assert np.array_equal(change, flip ^ alt ^ alt[cross]), (name, dim, flip)
+                plain = _cell_relations(system, dim, flip, False)
+                assert plain[0] == count and plain[2] == [flip], (name, dim, flip)
 
 
 def test_direct_pso_arrows_match_reference_byte_for_byte():
