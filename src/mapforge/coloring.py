@@ -19,14 +19,14 @@ construct._conflicts (the edges make_property fixes).
 
 Both routes run on the orbit kernel of flagsys (flagsys._orbits), which
 gives every flag a bitmask potential relative to the smallest flag of
-its orbit.  A coloring is a one-bit potential.  coloring_group is a
-single pass: with flip 1<<j on letter j, every edge leaves a cycle mask
-pot[f] ^ pot[r_j f] ^ (1<<j), and T(M) is the set of color sets with
-even overlap against every cycle mask.  The masks fit a uint64, so
-coloring_group handles rank up to 63; its cost is linear in the flag
-count and polynomial in the rank, apart from listing the group itself.
-The tests keep a pure-Python union-find and BFS reference for every
-function built on the kernel.
+its orbit.  Each system makes one parity pass, cached on the instance:
+with flip 1<<j on letter j, every edge leaves a cycle mask
+pot[f] ^ pot[r_j f] ^ (1<<j); T(M) is the set of color sets with even
+overlap against every cycle mask, and an I-coloring XORs the bits j in I
+of pot.  The pass is linear in the flag count and polynomial in the
+rank; find_coloring and coloring_group read it and handle rank up to 63
+(the masks fit a uint64), while direct_pso never does.  The tests keep a
+pure-Python union-find and BFS reference for every function on the kernel.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .flagsys import (
     Cell,
     FlagSystem,
     _cycle_basis,
+    _letter_parity,
     _orbits,
     _root_labels,
     apply_word,
@@ -234,15 +235,17 @@ def find_coloring(system: FlagSystem, color_set) -> Coloring | None:
     """Parity potentials of the orbit kernel, with flag 0 colored 0.
 
     Returns the canonical I-coloring, or None when some cycle forces a
-    contradiction.  The only other coloring is its complement.
+    contradiction.  The only other coloring is its complement.  Reads the
+    cached parity pass, so like coloring_group it handles rank up to 63.
     """
     cs = _as_color_set(system, color_set)
-    letters = [(None, c) for c in system.connections]
-    flips = [int(j in cs) for j in range(system.rank + 1)]
-    _, colors, _ = _orbits(system.flag_count, letters, flips)
-    if _cycle_basis(colors, letters, flips):
+    pot, basis = system._parity
+    if any((c & cs.mask).bit_count() & 1 for c in basis):
         return None
-    return Coloring(color_set=cs, assignment=colors)
+    colors = np.zeros_like(pot)
+    for j in cs.indices:
+        colors ^= pot >> j
+    return Coloring(color_set=cs, assignment=colors & 1)
 
 
 def is_valid_coloring(system: FlagSystem, color_set, assignment) -> bool:
@@ -288,16 +291,9 @@ def _orthogonal_group(rank: int, cycles) -> ColoringGroup:
     return subgroup_closure(rank, gens)
 
 
-def _letter_group(system: FlagSystem, letters) -> ColoringGroup:
-    """T of the graph whose edge groups `letters` are crossings of r_0..r_rank."""
-    flips = [1 << j for j in range(system.rank + 1)]
-    _, pot, _ = _orbits(system.flag_count, letters, flips)
-    return _orthogonal_group(system.rank, _cycle_basis(pot, letters, flips))
-
-
 def coloring_group(system: FlagSystem) -> ColoringGroup:
     """All color sets admitting a coloring; verified to be a subgroup."""
-    return _letter_group(system, [(None, c) for c in system.connections])
+    return _orthogonal_group(system.rank, system._parity[1])
 
 
 def coloring_group_excluding_cell(system: FlagSystem, face: Cell) -> ColoringGroup:
@@ -317,7 +313,7 @@ def coloring_group_excluding_cell(system: FlagSystem, face: Cell) -> ColoringGro
     for conn in system.connections:
         src = np.nonzero(kept & kept[conn])[0]
         letters.append((src, conn[src]))
-    return _letter_group(system, letters)
+    return _orthogonal_group(system.rank, _letter_parity(system, letters)[1])
 
 
 def cycle_consistent(system: FlagSystem, flag: int, word, color_set) -> bool:

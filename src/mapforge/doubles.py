@@ -18,6 +18,7 @@ from .coloring import ColorSet, _as_color_set, find_coloring
 from .errors import (
     BadParameters,
     ConnectionCollision,
+    Disconnected,
     HasFixedPoint,
     NotDeck,
     NotInvolution,
@@ -25,7 +26,7 @@ from .errors import (
     ValidationError,
     VertexBipartite,
 )
-from .flagsys import FlagSystem, _isomorphisms, _orbits, validate
+from .flagsys import FlagSystem, _isomorphisms, validate
 
 __all__ = [
     "DoubleResult",
@@ -77,16 +78,16 @@ def i_double(system: FlagSystem, color_set) -> DoubleResult:
             s[2 * ids + 1] = 2 * conn + 1
         lifted.append(s)
 
-    root, _, _ = _orbits(2 * n, [(None, s) for s in lifted])
-    if not root.any():
+    # The lift keeps every other axiom, so validate fails only on connectivity.
+    try:
         doubled = validate(system.rank, 2 * n, lifted)
-        return DoubleResult(
-            split=False, system=doubled, projection=np.arange(2 * n, dtype=np.intp) // 2
-        )
-
-    # Disconnected: the (0, 0) component holds exactly the flags (f, c(f)) for
-    # the I-coloring c with c(0) = 0, so in ascending order it is the input.
-    return DoubleResult(split=True, system=system, projection=ids)
+    except Disconnected:
+        # the (0, 0) component holds exactly the flags (f, c(f)) for the
+        # I-coloring c with c(0) = 0, so in ascending order it is the input
+        return DoubleResult(split=True, system=system, projection=ids)
+    return DoubleResult(
+        split=False, system=doubled, projection=np.arange(2 * n, dtype=np.intp) // 2
+    )
 
 
 def sherk_double(system: FlagSystem) -> FlagSystem:

@@ -19,12 +19,15 @@ undirected edges, optionally with an XOR bitmask per edge, and returns
 for every node the smallest node of its orbit plus its bitmask
 potential relative to that node.  It hooks roots onto smaller
 neighbouring roots and pointer-jumps (Shiloach-Vishkin), so a handful of
-whole-array passes replace one Python step per flag.
+whole-array passes replace one Python step per flag.  A system is
+immutable, so it caches one parity pass (FlagSystem._parity, behind every
+coloring question) and one label pass per cell dimension (cell_labels).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +66,16 @@ class FlagSystem:
 
     rank: int
     connections: tuple[np.ndarray, ...]
+
+    @cached_property
+    def _parity(self) -> tuple[np.ndarray, list[int]]:
+        """(pot, cycle basis) of one parity pass over every connection."""
+        return _letter_parity(self, [(None, c) for c in self.connections])
+
+    _labels = cached_property(lambda self: {})  # omit -> cell_labels result
+
+    def __reduce__(self):  # unpickling validates afresh, with empty caches
+        return validate, (self.rank, self.flag_count, self.connections)
 
     @property
     def flag_count(self) -> int:
@@ -172,6 +185,13 @@ def _cycle_basis(pot: np.ndarray, edges, flips) -> list[int]:
     return basis
 
 
+def _letter_parity(system: FlagSystem, letters) -> tuple[np.ndarray, list[int]]:
+    """(pot, cycle basis) of one _orbits pass over `letters` with flip 1 << j on r_j."""
+    flips = [1 << j for j in range(system.rank + 1)]
+    _, pot, _ = _orbits(system.flag_count, letters, flips)
+    return pot, _cycle_basis(pot, letters, flips)
+
+
 def validate(rank: int, flag_count: int, raw_connections) -> FlagSystem:
     """Check the axioms and return the immutable system.
 
@@ -245,17 +265,20 @@ def cell_labels(system: FlagSystem, omit: int) -> tuple[np.ndarray, int]:
     """Label every flag with the index of its dimension-`omit` cell.
 
     Cells are numbered 0.. in order of their smallest contained flag.
-    Returns (labels array, cell count).
+    Returns (labels array, cell count), cached on the system; labels are read-only.
     """
-    letters = [(None, c) for i, c in enumerate(system.connections) if i != omit]
-    root, _, _ = _orbits(system.flag_count, letters)
-    return _root_labels(root)
+    if omit not in system._labels:
+        letters = [(None, c) for i, c in enumerate(system.connections) if i != omit]
+        system._labels[omit] = _root_labels(_orbits(system.flag_count, letters)[0])
+    return system._labels[omit]
 
 
 def _root_labels(root: np.ndarray) -> tuple[np.ndarray, int]:
     """Orbits of an _orbits root array numbered 0.. by their smallest node."""
     number = np.cumsum(root == np.arange(root.size)) - 1
-    return number[root], int(number[-1]) + 1
+    labels = number[root]
+    labels.setflags(write=False)
+    return labels, int(number[-1]) + 1
 
 
 def _has_odd_cell(labels: np.ndarray) -> bool:

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import mapforge.cli as cli
+import mapforge.coloring as coloring
+import mapforge.flagsys as flagsys
 from mapforge import (
     PROPERTY_CHECKS,
     CorpusSpec,
@@ -168,6 +170,27 @@ def test_info_on_the_default_corpus(run, tmp_path, name, system):
         "V": counts[0], "E": counts[1], "F": counts[2],
         "chi": chi, "surface": surface, "T": group,
         "vertex_degrees": vertex_degrees, "face_degrees": face_degrees}
+
+
+def test_info_makes_one_parity_pass_and_one_label_pass_per_dimension(
+        run, cube_file, monkeypatch):
+    """surface_signature reuses info's labels and coloring_group's parity
+    pass: 3 label passes plus 1 parity pass on a parsed rank-2 map."""
+    system = platonic("cube")
+    monkeypatch.setattr(cli, "_read_system", lambda path: system)
+    calls = []
+    kernel = flagsys._orbits
+
+    def counting(n, edges, flips=None):
+        calls.append(n)
+        return kernel(n, edges, flips)
+
+    for module in (flagsys, coloring):
+        monkeypatch.setattr(module, "_orbits", counting)
+    code, out, _ = run("info", cube_file)
+    assert code == 0
+    assert "V=8 E=12 F=6 chi=2 surface=o0 T=e,0,12,012" in out
+    assert len(calls) <= 4
 
 
 def test_info_reads_stdin(run, monkeypatch):

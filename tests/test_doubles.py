@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mapforge.flagsys as flagsys
 from mapforge import (
     ColorSet,
     DoubleResult,
@@ -74,6 +75,25 @@ def test_split_iff_already_colorable():
             assert sheets == (1 if result.split else 2)
             if result.split:
                 assert result.system.flag_count == system.flag_count
+
+
+def test_double_makes_one_connectivity_pass_and_no_parity_pass(monkeypatch):
+    """The split comes from the lift's connectivity, not from the cached
+    T(M), so double-split and dubgp stay a second route to the group."""
+    calls = []
+    kernel = flagsys._orbits
+
+    def counting(n, edges, flips=None):
+        calls.append(n)
+        return kernel(n, edges, flips)
+
+    monkeypatch.setattr(flagsys, "_orbits", counting)
+    for system in POOL():
+        for mask in range(8):
+            calls.clear()
+            i_double(system, ColorSet(2, mask))
+            assert calls == [2 * system.flag_count]
+        assert "_parity" not in vars(system)
 
 
 def test_split_double_is_isomorphic_to_base():

@@ -1,0 +1,97 @@
+"""The parity and label caches on FlagSystem.
+
+Every coloring question reads one cached parity pass and every cell
+question one cached label pass per dimension.  Answers must not depend
+on which questions came first, on which of two equal systems they were
+asked, or on a pickle round trip, and cached arrays must stay read-only.
+"""
+
+import pickle
+
+import numpy as np
+import pytest
+
+import orbit_reference as ref
+from mapforge import (
+    ColorSet,
+    CorpusSpec,
+    build_corpus,
+    cell_labels,
+    coloring_group,
+    find_coloring,
+    i_double,
+    platonic,
+    validate,
+)
+
+CORPUS = build_corpus(CorpusSpec())
+DOUBLES = [(f"{name} / {cs}-double", i_double(system, cs).system)
+           for name, system in CORPUS
+           for cs in (ColorSet(system.rank, m) for m in range(1 << (system.rank + 1)))]
+
+
+def _twin(system):
+    """An equal system sharing no arrays and no caches with `system`."""
+    return validate(system.rank, system.flag_count,
+                    [conn.copy() for conn in system.connections])
+
+
+def _same_coloring(got, want) -> bool:
+    if want is None:
+        return got is None
+    return got is not None and got.assignment.tobytes() == want.tobytes()
+
+
+def test_answers_do_not_depend_on_query_order():
+    """One twin is asked every color set in ascending order before its
+    group and cells, the other in descending order after them."""
+    for name, system in CORPUS + DOUBLES:
+        sets = [ColorSet(system.rank, m) for m in range(1 << (system.rank + 1))]
+        dims = range(system.rank + 1)
+        up, down = _twin(system), _twin(system)
+        colorings_up = [find_coloring(up, cs) for cs in sets]
+        group_up = coloring_group(up).masks
+        labels_up = [cell_labels(up, d) for d in dims]
+        labels_down = [cell_labels(down, d) for d in reversed(dims)][::-1]
+        group_down = coloring_group(down).masks
+        colorings_down = [find_coloring(down, cs) for cs in reversed(sets)][::-1]
+
+        assert group_up == group_down == ref.coloring_group(system).masks, name
+        for cs, got_up, got_down in zip(sets, colorings_up, colorings_down):
+            want = ref.find_coloring(system, cs)
+            assert _same_coloring(got_up, want), (name, str(cs))
+            assert _same_coloring(got_down, want), (name, str(cs))
+        for d, (a, count_a), (b, count_b) in zip(dims, labels_up, labels_down):
+            want, want_count = ref.cell_labels(system, d)
+            assert count_a == count_b == want_count, (name, d)
+            assert np.array_equal(a, want) and np.array_equal(b, want), (name, d)
+
+
+def test_cell_labels_are_read_only():
+    system = platonic("cube")
+    labels, count = cell_labels(system, 0)
+    with pytest.raises(ValueError):
+        labels[0] = count
+    assert cell_labels(system, 0)[0] is labels
+
+
+@pytest.mark.parametrize("name,system", CORPUS[::9], ids=lambda v: v if isinstance(v, str) else "")
+def test_pickled_system_keeps_its_answers(name, system):
+    """--workers sends systems to other processes by pickle."""
+    sets = [ColorSet(system.rank, m) for m in range(1 << (system.rank + 1))]
+    dims = range(system.rank + 1)
+    filled = _twin(system)
+    group = coloring_group(filled)
+    colorings = [find_coloring(filled, cs) for cs in sets]
+    labels = [cell_labels(filled, d) for d in dims]
+
+    copy = pickle.loads(pickle.dumps(filled))
+    assert copy == filled
+    assert all(not conn.flags.writeable for conn in copy.connections)
+    assert coloring_group(copy) == group
+    for cs, want in zip(sets, colorings):
+        assert _same_coloring(find_coloring(copy, cs), want.assignment if want else None)
+    for d, (want, want_count) in zip(dims, labels):
+        got, count = cell_labels(copy, d)
+        assert count == want_count and np.array_equal(got, want)
+        assert not got.flags.writeable
