@@ -3,8 +3,12 @@
 Every verb that takes a flag file accepts ``-`` for stdin, so verbs
 compose in pipelines (``mapforge gen cube | mapforge medial | mapforge
 info -``).  Reports are ``key=value`` lines unless ``--json`` is given.
-Exit codes: 0 success, 1 property or precondition failure, 2 parse or
-validation failure on input files.
+Exit codes: 0 success, 1 property or precondition failure, 2 malformed
+input: a flag file or stdin that is not UTF-8 or fails to parse or
+validate; a ``verify`` spec that cannot be read or holds bad JSON, an
+unknown field or an unknown generator; a seed (spec, ``MAPFORGE_SEED``
+or ``--seed``) or depth that is not a non-negative integer; an unknown
+``--operations`` id; a ``--workers`` count below 1.
 """
 
 from __future__ import annotations
@@ -298,6 +302,8 @@ def _verify_spec(args) -> CorpusSpec:
 
 def cmd_verify(args) -> int:
     try:
+        if args.workers is not None and args.workers < 1:
+            raise BadParameters(f"--workers must be at least 1, got {args.workers}")
         spec = _verify_spec(args)
         if args.operations is not None:
             spec = dataclasses.replace(

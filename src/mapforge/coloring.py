@@ -47,6 +47,7 @@ from .flagsys import (
     Cell,
     FlagSystem,
     _cycle_basis,
+    _freeze,
     _letter_parity,
     _orbits,
     _root_labels,
@@ -144,9 +145,7 @@ class Coloring:
     assignment: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.assignment, dtype=np.uint8)
-        arr.setflags(write=False)
-        object.__setattr__(self, "assignment", arr)
+        object.__setattr__(self, "assignment", _freeze(self.assignment, np.uint8))
 
 
 @dataclass(frozen=True)
@@ -344,9 +343,7 @@ class ArrowAssignment:
     arrows: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.arrows, dtype=np.uint8)
-        arr.setflags(write=False)
-        object.__setattr__(self, "arrows", arr)
+        object.__setattr__(self, "arrows", _freeze(self.arrows, np.uint8))
 
 
 # kind -> (cell dimension, the two letters acting inside a cell, crossing letter,

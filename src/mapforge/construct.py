@@ -259,30 +259,25 @@ class GluingWord:
             raise BadParameters(f"gluing word must be alphabetic, got {w!r}")
         if len(w) % 2:
             raise BadParameters(f"gluing word length must be even, got {len(w)}")
-        counts: dict[str, list[int]] = {}
+        where: dict[str, list[int]] = {}
         for pos, ch in enumerate(w):
-            counts.setdefault(ch.lower(), []).append(pos)
-        for letter, positions in counts.items():
+            where.setdefault(ch.lower(), []).append(pos)
+        pairs = []
+        for letter, positions in where.items():
             if len(positions) != 2:
                 raise BadParameters(
                     f"letter {letter!r} occurs {len(positions)} times, need exactly 2"
                 )
+            p, q = positions
+            pairs.append((p, q, w[p].isupper() == w[q].isupper()))
+        object.__setattr__(self, "_pairs", sorted(pairs))
 
     def __len__(self) -> int:
         return len(self.letters)
 
     def pairs(self) -> list[tuple[int, int, bool]]:
         """(first position, second position, same_case) per letter."""
-        where: dict[str, list[int]] = {}
-        for pos, ch in enumerate(self.letters):
-            where.setdefault(ch.lower(), []).append(pos)
-        out = []
-        for positions in where.values():
-            p, q = positions
-            same = self.letters[p].isupper() == self.letters[q].isupper()
-            out.append((p, q, same))
-        out.sort()
-        return out
+        return list(self._pairs)
 
 
 def polygon_gluing(word) -> FlagSystem:
@@ -463,33 +458,38 @@ def cube_maniplex(d: int) -> FlagSystem:
 # surgeries
 
 
+def _corners(system: FlagSystem, a):
+    """(a, a r0, a r2, a r0 r2) for a flag or an array of flags: the four
+    flags of a rank-2 edge.  At rank n an edge is the orbit of every
+    connection but r1, so any other rank raises RankNotTwo."""
+    if system.rank != 2:
+        raise RankNotTwo(system.rank, "edge surgery")
+    r0, r2 = system.connections[0], system.connections[2]
+    return a, r0[a], r2[a], r2[r0[a]]
+
+
 def edge_of(system: FlagSystem, flag: int) -> Cell:
-    """The edge cell containing a flag."""
+    """The edge cell containing a flag.
+
+    Rank 2 only: a flag of a system of any other rank raises RankNotTwo.
+    """
     if not 0 <= flag < system.flag_count:
         raise BadParameters(f"flag {flag} out of range 0..{system.flag_count - 1}")
-    r0 = system.connections[0]
-    r2 = system.connections[2]
-    orbit = {flag, int(r0[flag]), int(r2[flag]), int(r2[r0[flag]])}
+    orbit = {int(f) for f in _corners(system, flag)}
     return Cell(dimension=1, flags=tuple(sorted(orbit)))
 
 
 def _edge_corners(system: FlagSystem, edge: Cell) -> tuple[int, int, int, int]:
-    """Check an edge cell against the system; return its flags (a, b, c, d)
-    with b = a r0, c = a r2, d = a r0 r2."""
-    if system.rank != 2:
-        raise RankNotTwo(system.rank, "edge surgery")
+    """Check an edge cell against the system; return its _corners."""
     if not isinstance(edge, Cell) or edge.dimension != 1:
         raise NotAnEdge(f"expected an edge cell, got {edge!r}")
     flags = edge.flags
     if not flags or any(not 0 <= f < system.flag_count for f in flags):
         raise NotAnEdge(f"cell flags {flags} out of range")
-    a = min(flags)
-    r0 = system.connections[0]
-    r2 = system.connections[2]
-    b, c, d = int(r0[a]), int(r2[a]), int(r2[r0[a]])
-    if set(flags) != {a, b, c, d}:
+    corners = tuple(int(f) for f in _corners(system, min(flags)))
+    if set(flags) != set(corners):
         raise NotAnEdge(f"flags {flags} do not form an edge of this system")
-    return a, b, c, d
+    return corners
 
 
 def _edge_flags(system: FlagSystem) -> np.ndarray:
@@ -512,9 +512,7 @@ def _insert_edges(system: FlagSystem, flags, letter: int) -> FlagSystem:
     """
     other = 2 - letter
     step = {0: 1, 2: 2}
-    a = np.asarray(flags, dtype=np.intp)
-    r0, r2 = system.connections[0], system.connections[2]
-    corners = np.stack([a, r0[a], r2[a], r2[r0[a]]], axis=1).ravel()
+    corners = np.stack(_corners(system, np.asarray(flags, dtype=np.intp)), axis=1).ravel()
     n = system.flag_count
     local = np.arange(corners.size)
     copies = n + local

@@ -241,6 +241,11 @@ def _all_color_sets(rank):
     return [ColorSet(rank, m) for m in range(1 << (rank + 1))]
 
 
+def _pick(rng, options):
+    """One seeded uniform draw from a sequence."""
+    return options[int(rng.integers(len(options)))]
+
+
 def _check_axioms(system, rng):
     try:
         validate(system.rank, system.flag_count, system.connections)
@@ -282,14 +287,14 @@ def _check_bridges(system, rng):
 def _check_pso_oracle(system, rng):
     if system.rank != 2:
         return None
-    for kind, (dim, _inner, _crossing, _flip) in PSO_KINDS.items():
-        inner = {"full": (), "face": (2,), "vertex": (0,), "edge": (1,)}[kind]
-        complement = ColorSet.full(2) ^ ColorSet.of(inner, 2)
-        want = find_coloring(system, complement) is not None
+    for kind, (dim, inner, crossing, flip) in PSO_KINDS.items():
+        # arrows exist exactly when these letters have a coloring
+        colors = ColorSet.of(inner + (crossing,) * flip, 2)
+        want = find_coloring(system, colors) is not None
         witness = direct_pso(system, kind)
         if (witness is not None) != want:
             return f"{kind}: arrows={'yes' if witness else 'no'} coloring={want}"
-        if is_pseudo_orientable(system, inner) != want:
+        if is_pseudo_orientable(system, colors.complement()) != want:
             return f"{kind}: is_pseudo_orientable disagrees with colorability"
         if witness is not None and len(witness.arrows) != cell_labels(system, dim)[1]:
             return f"{kind}: arrow count differs from cell count"
@@ -403,9 +408,8 @@ def _check_shift(system, rng):
     nontrivial = [m for m in group.members if m.mask]
     if not nontrivial:
         return None
-    shift_by = nontrivial[int(rng.integers(len(nontrivial)))]
-    member = _all_color_sets(system.rank)[
-        int(rng.integers(1 << (system.rank + 1)))]
+    shift_by = _pick(rng, nontrivial)
+    member = _pick(rng, _all_color_sets(system.rank))
     left = i_double(system, member).system
     right = i_double(system, member ^ shift_by).system
     if is_isomorphic(left, right) is None:
@@ -427,10 +431,9 @@ def _check_minimality(system, rng):
     outside = [m for m in _all_color_sets(system.rank) if m not in group]
     if not outside:
         return None
-    member = outside[int(rng.integers(len(outside)))]
+    member = _pick(rng, outside)
     double = i_double(system, member)
-    shift_by = _all_color_sets(system.rank)[
-        int(rng.integers(1 << (system.rank + 1)))]
+    shift_by = _pick(rng, _all_color_sets(system.rank))
     redouble = i_double(double.system, shift_by)
     composite = double.projection[redouble.projection]
     witness = find_coloring(redouble.system, member)
@@ -450,7 +453,7 @@ def _check_recognition(system, rng):
     outside = [m for m in _all_color_sets(system.rank) if m not in group]
     if not outside:
         return None
-    member = outside[int(rng.integers(len(outside)))]
+    member = _pick(rng, outside)
     cover = i_double(system, member).system
     found = recognize_i_double(cover, member)
     if found is None:

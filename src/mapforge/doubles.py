@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
     VertexBipartite,
 )
-from .flagsys import FlagSystem, _isomorphisms, validate
+from .flagsys import FlagSystem, _freeze, _isomorphisms, _root_labels, validate
 
 __all__ = [
     "DoubleResult",
@@ -52,9 +52,7 @@ class DoubleResult:
     projection: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.projection, dtype=np.intp)
-        arr.setflags(write=False)
-        object.__setattr__(self, "projection", arr)
+        object.__setattr__(self, "projection", _freeze(self.projection))
 
 
 def i_double(system: FlagSystem, color_set) -> DoubleResult:
@@ -133,19 +131,11 @@ def quotient(system: FlagSystem, u) -> tuple[FlagSystem, np.ndarray]:
         if bad.size:
             raise ConnectionCollision(j, int(bad[0]))
 
-    reps = np.minimum(ids, u)
-    rep_flags = np.nonzero(reps == ids)[0]
-    lab = np.full(n, -1, dtype=np.intp)
-    lab[rep_flags] = np.arange(rep_flags.size, dtype=np.intp)
-    phi = lab[reps]
-    base = validate(
-        system.rank,
-        rep_flags.size,
-        [phi[conn[rep_flags]] for conn in system.connections],
-    )
-    out = phi.copy()
-    out.setflags(write=False)
-    return base, out
+    phi, count = _root_labels(np.minimum(ids, u))
+    # u has no fixed point, so the smaller member of each orbit is f < u(f)
+    reps = np.flatnonzero(ids < u)
+    base = validate(system.rank, count, [phi[conn[reps]] for conn in system.connections])
+    return base, phi
 
 
 def recognize_i_double(system: FlagSystem, color_set):

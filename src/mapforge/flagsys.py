@@ -98,8 +98,9 @@ class FlagSystem:
         return f"FlagSystem(rank={self.rank}, flags={self.flag_count})"
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr, dtype=np.intp)
+def _freeze(arr, dtype=np.intp) -> np.ndarray:
+    """A read-only contiguous array of `dtype`; copies only to convert."""
+    out = np.ascontiguousarray(arr, dtype=dtype)
     out.setflags(write=False)
     return out
 
@@ -276,9 +277,7 @@ def cell_labels(system: FlagSystem, omit: int) -> tuple[np.ndarray, int]:
 def _root_labels(root: np.ndarray) -> tuple[np.ndarray, int]:
     """Orbits of an _orbits root array numbered 0.. by their smallest node."""
     number = np.cumsum(root == np.arange(root.size)) - 1
-    labels = number[root]
-    labels.setflags(write=False)
-    return labels, int(number[-1]) + 1
+    return _freeze(number[root]), int(number[-1]) + 1
 
 
 def _has_odd_cell(labels: np.ndarray) -> bool:

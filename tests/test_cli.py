@@ -26,6 +26,7 @@ from mapforge import (
     polygon_gluing,
     surface_signature,
     tri_torus,
+    validate,
     write_flag_file,
     write_flag_text,
 )
@@ -397,6 +398,22 @@ def test_surgeries(run, cube_file):
     assert code == 1
 
 
+SQUARE = ([1, 0, 3, 2, 5, 4, 7, 6], [7, 2, 1, 4, 3, 6, 5, 0])
+
+
+@pytest.mark.parametrize("verb", ["subdivide", "double-edge", "triple-edge"])
+@pytest.mark.parametrize("rank", [1, 3])
+def test_edge_surgeries_refuse_other_ranks(run, tmp_path, verb, rank):
+    system = validate(1, 8, SQUARE) if rank == 1 else cube_maniplex(4)
+    path = tmp_path / "system.flags"
+    write_flag_file(system, str(path))
+    code, out, err = run(verb, str(path), "--edge", "0")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "rank-2" in err
+
+
 def test_gen_unknown_name(run):
     code, _, err = run("gen", "moebius")
     assert code == 1
@@ -445,6 +462,15 @@ def test_verify_operations_flag(run, tmp_path):
     code, _, err = run("verify", "--corpus", str(spec_path),
                        "--operations", "nonsense")
     assert code == 2
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_verify_rejects_worker_counts_below_one(run, workers):
+    code, out, err = run("verify", "--workers", workers)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "--workers" in err
 
 
 def test_verify_corrupted_corpus_map(run, tmp_path):

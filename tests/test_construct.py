@@ -237,6 +237,14 @@ def test_edge_of():
         subdivide_edge(cube, Cell(dimension=1, flags=(0, 1, 2, 3)))
 
 
+def test_edge_of_is_rank_two_only():
+    """At rank 3 an edge is the orbit of r0, r2 and r3, not four flags."""
+    cube = cube_maniplex(4)
+    assert {len(edge.flags) for edge in cells(cube, 1)} == {12}
+    with pytest.raises(RankNotTwo):
+        edge_of(cube, 0)
+
+
 def test_surgery_counts_on_cube():
     cube = platonic("cube")
     edge = edge_of(cube, 0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cases import relabeled
 from mapforge import (
     Cell,
     FlagSystem,
@@ -158,12 +159,7 @@ def test_is_isomorphic_relabeling():
     rng = np.random.default_rng(11)
     cube = platonic("cube")
     for _ in range(5):
-        perm = rng.permutation(cube.flag_count)
-        inverse = np.empty_like(perm)
-        inverse[perm] = np.arange(cube.flag_count)
-        shuffled = validate(
-            2, cube.flag_count,
-            [perm[conn[inverse]] for conn in cube.connections])
+        shuffled = relabeled(cube, rng.permutation(cube.flag_count))
         mapping = is_isomorphic(cube, shuffled)
         assert mapping is not None
         for i in range(3):

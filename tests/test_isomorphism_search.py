@@ -14,10 +14,9 @@ import pytest
 
 import isomorphism_reference as ref
 import mapforge.flagsys as flagsys
+from cases import CORPUS as _CORPUS, DOUBLES, color_sets, relabeled
 from mapforge import (
     ColorSet,
-    CorpusSpec,
-    build_corpus,
     cells,
     deck_transformations,
     find_coloring,
@@ -28,7 +27,6 @@ from mapforge import (
     recognize_i_double,
     surface_signature,
     tri_torus,
-    validate,
 )
 from mapforge.cli import main
 from mapforge.corpus import invoke_generator
@@ -36,33 +34,24 @@ from mapforge.errors import ValidationError
 from mapforge.fileio import write_flag_file
 from mapforge.flagsys import _transport_plan
 
-CORPUS = [system for _, system in build_corpus(CorpusSpec())]
-
-
-def _relabeled_by(system, perm):
-    """The same map with flag f renamed perm[f]."""
-    inverse = np.empty_like(perm)
-    inverse[perm] = np.arange(system.flag_count)
-    return validate(system.rank, system.flag_count,
-                    [perm[conn[inverse]] for conn in system.connections])
+CORPUS = [system for _, system in _CORPUS]
 
 
 def _relabeled(system, seed):
-    return _relabeled_by(system, np.random.default_rng(seed).permutation(system.flag_count))
+    return relabeled(system, np.random.default_rng(seed).permutation(system.flag_count))
 
 
 def _reversed(system):
-    return _relabeled_by(system, np.arange(system.flag_count)[::-1])
+    return relabeled(system, np.arange(system.flag_count)[::-1])
 
 
 def _covers():
     """Every connected I-double of the corpus, with its color set."""
-    for system in CORPUS:
-        for mask in range(1 << (system.rank + 1)):
-            color_set = ColorSet(system.rank, mask)
-            result = i_double(system, color_set)
-            if not result.split:
-                yield result.system, color_set
+    bases = [(base, cs) for base in CORPUS for cs in color_sets(base.rank)]
+    for (base, color_set), (_, double) in zip(bases, DOUBLES):
+        # a split double is its base
+        if double.flag_count > base.flag_count:
+            yield double, color_set
 
 
 COVERS = [cover for cover, _ in _covers()]
@@ -97,8 +86,8 @@ def _recognition_cases():
         yield cover, color_set, True
         yield _relabeled(cover, k), color_set, True
     for system in CORPUS:
-        for mask in range(1 << (system.rank + 1)):
-            yield system, ColorSet(system.rank, mask), False
+        for color_set in color_sets(system.rank):
+            yield system, color_set, False
 
 
 def test_recognize_takes_the_first_qualifying_deck():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cases import relabeled
 from mapforge import (
     ColorSet,
     cells,
@@ -180,10 +181,5 @@ def test_operators_commute_with_relabeling():
     rng = np.random.default_rng(13)
     system = platonic("octahedron")
     for op in (dual, opposite, petrie, medial):
-        perm = rng.permutation(system.flag_count)
-        inverse = np.empty_like(perm)
-        inverse[perm] = np.arange(system.flag_count)
-        shuffled = validate(
-            2, system.flag_count,
-            [perm[conn[inverse]] for conn in system.connections])
+        shuffled = relabeled(system, rng.permutation(system.flag_count))
         assert is_isomorphic(op(system), op(shuffled)) is not None

@@ -11,10 +11,8 @@ import numpy as np
 import pytest
 
 import orbit_reference as ref
+from cases import CORPUS, DOUBLES, color_sets, relabeled
 from mapforge import (
-    ColorSet,
-    CorpusSpec,
-    build_corpus,
     cell_labels,
     cells,
     coloring_group,
@@ -32,24 +30,9 @@ from mapforge.coloring import PSO_KINDS, _cell_relations
 from mapforge.errors import Disconnected
 from mapforge.flagsys import _orbits
 
-
-def relabel(system, rng):
-    """The same map with flags renumbered by a random permutation."""
-    perm = rng.permutation(system.flag_count)
-    inv = np.argsort(perm)
-    return validate(system.rank, system.flag_count,
-                    [perm[conn[inv]] for conn in system.connections])
-
-
-def _masks(system):
-    return [ColorSet(system.rank, m) for m in range(1 << (system.rank + 1))]
-
-
-CORPUS = build_corpus(CorpusSpec())
-DOUBLES = [(f"{name} / {cs}-double", i_double(system, cs).system)
-           for name, system in CORPUS for cs in _masks(system)]
 _rng = np.random.default_rng(20261017)
-RELABELED = [(f"{name} relabeled", relabel(system, _rng)) for name, system in CORPUS]
+RELABELED = [(f"{name} relabeled", relabeled(system, _rng.permutation(system.flag_count)))
+             for name, system in CORPUS]
 MAPS = CORPUS + DOUBLES + RELABELED
 RANK2 = [(name, system) for name, system in MAPS if system.rank == 2]
 
@@ -78,7 +61,7 @@ def test_cells_are_buckets_of_labels():
 
 def test_find_coloring_matches_reference():
     for name, system in MAPS:
-        for cs in _masks(system):
+        for cs in color_sets(system.rank):
             got = find_coloring(system, cs)
             want = ref.find_coloring(system, cs)
             if want is None:
@@ -142,7 +125,7 @@ def test_i_face_bipartite_matches_reference():
 
 def test_i_double_matches_reference():
     for name, system in CORPUS + RELABELED:
-        for cs in _masks(system):
+        for cs in color_sets(system.rank):
             got = i_double(system, cs)
             want = ref.i_double(system, cs)
             assert got.split == want.split, (name, str(cs))
@@ -182,7 +165,7 @@ def _round_bound(n):
 def test_adversarial_numbering(system):
     """Long thin maps with random flag numbers: exact results, few rounds."""
     rng = np.random.default_rng(7)
-    for shuffled in (relabel(system, rng), relabel(system, rng)):
+    for shuffled in [relabeled(system, rng.permutation(system.flag_count)) for _ in range(2)]:
         n = shuffled.flag_count
         letters = [(None, c) for c in shuffled.connections]
         for subset in ([0, 1, 2], [0, 1], [1, 2], [0, 2]):

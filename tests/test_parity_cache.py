@@ -12,23 +12,14 @@ import numpy as np
 import pytest
 
 import orbit_reference as ref
+from cases import CORPUS, DOUBLES, color_sets
 from mapforge import (
-    ColorSet,
-    CorpusSpec,
-    build_corpus,
     cell_labels,
     coloring_group,
     find_coloring,
-    i_double,
     platonic,
     validate,
 )
-
-CORPUS = build_corpus(CorpusSpec())
-DOUBLES = [(f"{name} / {cs}-double", i_double(system, cs).system)
-           for name, system in CORPUS
-           for cs in (ColorSet(system.rank, m) for m in range(1 << (system.rank + 1)))]
-
 
 def _twin(system):
     """An equal system sharing no arrays and no caches with `system`."""
@@ -46,7 +37,7 @@ def test_answers_do_not_depend_on_query_order():
     """One twin is asked every color set in ascending order before its
     group and cells, the other in descending order after them."""
     for name, system in CORPUS + DOUBLES:
-        sets = [ColorSet(system.rank, m) for m in range(1 << (system.rank + 1))]
+        sets = color_sets(system.rank)
         dims = range(system.rank + 1)
         up, down = _twin(system), _twin(system)
         colorings_up = [find_coloring(up, cs) for cs in sets]
@@ -78,7 +69,7 @@ def test_cell_labels_are_read_only():
 @pytest.mark.parametrize("name,system", CORPUS[::9], ids=lambda v: v if isinstance(v, str) else "")
 def test_pickled_system_keeps_its_answers(name, system):
     """--workers sends systems to other processes by pickle."""
-    sets = [ColorSet(system.rank, m) for m in range(1 << (system.rank + 1))]
+    sets = color_sets(system.rank)
     dims = range(system.rank + 1)
     filled = _twin(system)
     group = coloring_group(filled)

@@ -11,10 +11,9 @@ import pytest
 
 import mapforge.construct as construct
 import surgery_reference as ref
+from cases import CORPUS as _CORPUS, relabeled
 from mapforge import (
     MAKE_GOALS,
-    CorpusSpec,
-    build_corpus,
     cells,
     double_edge,
     edge_of,
@@ -26,24 +25,16 @@ from mapforge import (
 from mapforge.construct import _edge_flags, _insert_edges
 
 
-def relabel(system, rng):
-    """The same map with flags renumbered by a random permutation."""
-    perm = rng.permutation(system.flag_count)
-    inv = np.argsort(perm)
-    return validate(system.rank, system.flag_count,
-                    [perm[conn[inv]] for conn in system.connections])
-
-
 def same_bytes(a, b):
     return a.rank == b.rank and [c.dtype for c in a.connections] == \
         [c.dtype for c in b.connections] and \
         [c.tobytes() for c in a.connections] == [c.tobytes() for c in b.connections]
 
 
-CORPUS = [(name, system) for name, system in build_corpus(CorpusSpec())
-          if system.rank == 2]
+CORPUS = [(name, system) for name, system in _CORPUS if system.rank == 2]
 _rng = np.random.default_rng(20261018)
-MAPS = CORPUS + [(f"{name} relabeled", relabel(system, _rng)) for name, system in CORPUS]
+MAPS = CORPUS + [(f"{name} relabeled", relabeled(system, _rng.permutation(system.flag_count)))
+                 for name, system in CORPUS]
 IDS = [name for name, _ in MAPS]
 
 
