@@ -5,9 +5,10 @@ compose in pipelines (``mapforge gen cube | mapforge medial | mapforge
 info -``).  Reports are ``key=value`` lines unless ``--json`` is given.
 Exit codes: 0 success, 1 property or precondition failure, 2 malformed
 input: a flag file or stdin that is not UTF-8 or fails to parse or
-validate; a ``verify`` spec that cannot be read or holds bad JSON, an
-unknown field or an unknown generator; a seed (spec, ``MAPFORGE_SEED``
-or ``--seed``) or depth that is not a non-negative integer; an unknown
+validate; a ``quotient --u-file`` that cannot be read or is not UTF-8;
+a ``verify`` spec that cannot be read or holds bad JSON, an unknown
+field or an unknown generator; a seed (spec, ``MAPFORGE_SEED`` or
+``--seed``) or depth that is not a non-negative integer; an unknown
 ``--operations`` id; a ``--workers`` count below 1.
 """
 
@@ -44,7 +45,7 @@ from .errors import (
     UnknownName,
     ValidationError,
 )
-from .fileio import parse_flag_text, read_flag_file, write_flag_text
+from .fileio import _read_text, _row, parse_flag_text, read_flag_file, write_flag_text
 from .flagsys import (
     FlagSystem,
     cell_labels,
@@ -92,10 +93,6 @@ def _sidecar_lines(args, lines) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-
-
-def _ints_line(values) -> str:
-    return " ".join(str(int(v)) for v in values)
 
 
 def _degree_summary(labels) -> str:
@@ -188,7 +185,7 @@ def cmd_double(args) -> int:
     _write_system(result.system, args.output)
     _sidecar_lines(args, [
         f"split: {'true' if result.split else 'false'}",
-        f"projection: {_ints_line(result.projection)}",
+        f"projection: {_row(result.projection)}",
     ])
     return 0
 
@@ -199,7 +196,7 @@ def cmd_sherk(args) -> int:
     # the {0}-double numbers flag (f, i) as 2f+i
     _sidecar_lines(args, [
         "split: false",
-        f"projection: {_ints_line(np.arange(cover.flag_count) // 2)}",
+        f"projection: {_row(np.arange(cover.flag_count) // 2)}",
     ])
     return 0
 
@@ -214,8 +211,8 @@ def cmd_recognize_double(args) -> int:
     _write_system(base, args.output)
     _sidecar_lines(args, [
         "found: true",
-        f"deck: {_ints_line(deck)}",
-        f"projection: {_ints_line(projection)}",
+        f"deck: {_row(deck)}",
+        f"projection: {_row(projection)}",
     ])
     return 0
 
@@ -225,20 +222,16 @@ def cmd_quotient(args) -> int:
     if args.u is not None:
         tokens = args.u.replace(",", " ").split()
     elif args.u_file is not None:
-        try:
-            with open(args.u_file, "r", encoding="utf-8") as fh:
-                tokens = fh.read().split()
-        except OSError as exc:
-            raise BadParameters(f"cannot read {args.u_file}: {exc.strerror}") from None
+        tokens = _read_text(args.u_file).split()
     else:
         raise BadParameters("quotient needs --u or --u-file")
     try:
-        deck = np.array([int(t) for t in tokens], dtype=np.intp)
+        deck = [int(t) for t in tokens]
     except ValueError:
         raise BadParameters("deck permutation must be a list of integers") from None
     base, projection = quotient(system, deck)
     _write_system(base, args.output)
-    _sidecar_lines(args, [f"projection: {_ints_line(projection)}"])
+    _sidecar_lines(args, [f"projection: {_row(projection)}"])
     return 0
 
 
@@ -278,15 +271,14 @@ def cmd_iso(args) -> int:
     if mapping is None:
         _report(args, [("isomorphic", False)])
         return 1
-    _report(args, [("isomorphic", True), ("mapping", _ints_line(mapping))])
+    _report(args, [("isomorphic", True), ("mapping", _row(mapping))])
     return 0
 
 
 def _verify_spec(args) -> CorpusSpec:
     spec = CorpusSpec()
     if args.corpus is not None:
-        with open(args.corpus, "r", encoding="utf-8") as fh:
-            spec = CorpusSpec.from_json(fh.read())
+        spec = CorpusSpec.from_json(_read_text(args.corpus))
     env_seed = os.environ.get("MAPFORGE_SEED")
     if env_seed is not None:
         try:
@@ -308,7 +300,7 @@ def cmd_verify(args) -> int:
         if args.operations is not None:
             spec = dataclasses.replace(
                 spec, operations=tuple(args.operations.split(",")))
-    except (OSError, UnicodeDecodeError, BadParameters, UnknownName) as exc:
+    except (FlagFileError, BadParameters, UnknownName) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

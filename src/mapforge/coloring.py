@@ -52,6 +52,7 @@ from .flagsys import (
     _orbits,
     _root_labels,
     apply_word,
+    cell_labels,
 )
 
 __all__ = [
@@ -300,14 +301,19 @@ def coloring_group_excluding_cell(system: FlagSystem, face: Cell) -> ColoringGro
 
     The remaining flag graph may be disconnected; each component is
     colored independently, so membership only requires the absence of a
-    contradictory cycle outside the deleted face.
+    contradictory cycle outside the deleted face.  Flags that are not
+    exactly one face of the system raise BadParameters.
     """
     if system.rank != 2:
         raise RankNotTwo(system.rank, "coloring_group_excluding_cell")
     if face.dimension != 2:
         raise BadParameters(f"expected a face cell, got dimension {face.dimension}")
-    kept = np.ones(system.flag_count, dtype=bool)
-    kept[list(face.flags)] = False
+    flags = face.flags
+    first = flags[0] if flags and 0 <= flags[0] < system.flag_count else 0
+    labels, _ = cell_labels(system, 2)
+    kept = labels != labels[first]
+    if set(np.flatnonzero(~kept).tolist()) != set(flags):
+        raise BadParameters(f"flags {flags} do not form a face of this system")
     letters = []
     for conn in system.connections:
         src = np.nonzero(kept & kept[conn])[0]

@@ -43,7 +43,8 @@ from .flagsys import (
     surface_signature,
     validate,
 )
-from .operators import dual
+from .doubles import i_double
+from .operators import dual, dual_color_set
 
 __all__ = [
     "RotationSystem",
@@ -494,9 +495,8 @@ def _edge_corners(system: FlagSystem, edge: Cell) -> tuple[int, int, int, int]:
 
 def _edge_flags(system: FlagSystem) -> np.ndarray:
     """Smallest flag of every edge, ascending: edge i of cell_labels(system, 1)."""
-    r0, r2 = system.connections[0], system.connections[2]
-    f = np.arange(system.flag_count)
-    return np.flatnonzero((f < r0) & (f < r2) & (f < r2[r0]))
+    f, b, c, d = _corners(system, np.arange(system.flag_count))
+    return np.flatnonzero((f < b) & (f < c) & (f < d))
 
 
 def _insert_edges(system: FlagSystem, flags, letter: int) -> FlagSystem:
@@ -670,42 +670,24 @@ def connected_sum(system: FlagSystem, other: FlagSystem, flag_a: int, flag_b: in
     size_a, size_b = np.count_nonzero(fa), np.count_nonzero(fb)
     if size_a != size_b:
         raise FaceSizeMismatch(size_a // 2, size_b // 2)
-    r2a = system.connections[2]
-    r2b = other.connections[2]
-    if fa[r2a[fa]].any():
+    if fa[system.connections[2][fa]].any():
         raise FaceSelfAdjacent("first")
-    if fb[r2b[fb]].any():
+    if fb[other.connections[2][fb]].any():
         raise FaceSelfAdjacent("second")
 
-    na, nb = system.flag_count, other.flag_count
-    keep_a = np.flatnonzero(~fa)
-    keep_b = np.flatnonzero(~fb)
-    new_a = np.full(na, -1, dtype=np.intp)
-    new_b = np.full(nb, -1, dtype=np.intp)
-    new_a[keep_a] = np.arange(keep_a.size, dtype=np.intp)
-    new_b[keep_b] = keep_a.size + np.arange(keep_b.size, dtype=np.intp)
-    total = keep_a.size + keep_b.size
-
-    conns = []
-    for j in range(3):
-        arr = np.empty(total, dtype=np.intp)
-        arr[new_a[keep_a]] = new_a[system.connections[j][keep_a]]
-        arr[new_b[keep_b]] = new_b[other.connections[j][keep_b]]
-        conns.append(arr)
-
+    na = system.flag_count
+    conns = [np.concatenate([a, b + na]) for a, b in zip(system.connections, other.connections)]
+    r0, r1, r2 = conns
     # walk both face boundaries in step and sew the outside flags together
-    k = size_a // 2
-    r0a, r1a = system.connections[0], system.connections[1]
-    r0b, r1b = other.connections[0], other.connections[1]
-    wa, wb = flag_a, flag_b
-    for _ in range(k):
-        for xa, xb in ((wa, wb), (int(r1a[wa]), int(r1b[wb]))):
-            pa, pb = new_a[int(r2a[xa])], new_b[int(r2b[xb])]
-            conns[2][pa] = pb
-            conns[2][pb] = pa
-        wa = int(r1a[r0a[wa]])
-        wb = int(r1b[r0b[wb]])
-    return validate(2, total, conns)
+    wa, wb = flag_a, na + flag_b
+    for _ in range(size_a // 2):
+        for xa, xb in ((wa, wb), (r1[wa], r1[wb])):
+            pa, pb = r2[xa], r2[xb]
+            r2[pa], r2[pb] = pb, pa
+        wa, wb = r1[r0[wa]], r1[r0[wb]]
+    keep = np.concatenate([~fa, ~fb])
+    new = np.cumsum(keep) - 1
+    return validate(2, np.count_nonzero(keep), [new[conn[keep]] for conn in conns])
 
 
 # ---------------------------------------------------------------------------
@@ -728,15 +710,15 @@ _ORIENTABLE_HALVES = {
 }
 
 
-def _recipe_steps(masks: frozenset[int]) -> tuple[str, ...] | None:
-    return {
-        frozenset({0}): ("odd_face", "odd_vertex"),
-        frozenset({0, 4}): ("face_bipartite", "odd_face"),
-        frozenset({0, 3}): ("odd_face", "fpso"),
-        frozenset({0, 1, 2, 3}): ("fpso", "vertex_bipartite"),
-        frozenset({0, 1, 4, 5}): ("face_bipartite", "vertex_bipartite"),
-        frozenset({0, 3, 5, 6}): ("fpso", "vpso"),
-    }.get(masks)
+# groups built by make_property steps from a crosscap seed
+_RECIPES = {
+    frozenset({0}): ("odd_face", "odd_vertex"),
+    frozenset({0, 4}): ("face_bipartite", "odd_face"),
+    frozenset({0, 3}): ("odd_face", "fpso"),
+    frozenset({0, 1, 2, 3}): ("fpso", "vertex_bipartite"),
+    frozenset({0, 1, 4, 5}): ("face_bipartite", "vertex_bipartite"),
+    frozenset({0, 3, 5, 6}): ("fpso", "vpso"),
+}
 
 
 def build_map_with_group(group, surface: SurfaceSignature) -> FlagSystem:
@@ -779,8 +761,6 @@ def build_map_with_group(group, surface: SurfaceSignature) -> FlagSystem:
 
 
 def _build_unverified(masks: frozenset[int], surface: SurfaceSignature) -> FlagSystem:
-    from .doubles import i_double
-
     if surface.orientable:
         half = _ORIENTABLE_HALVES[masks]
         base = _build_unverified(
@@ -797,17 +777,12 @@ def _build_unverified(masks: frozenset[int], surface: SurfaceSignature) -> FlagS
         if genus % 2 == 0:
             return strip_map(genus // 2, range((genus - 2) // 2), 0)
         return strip_map((genus + 1) // 2, range((genus - 1) // 2), 1)
-    if masks == frozenset({0, 1}):
-        return dual(_build_unverified(frozenset({0, 4}), surface))
-    if masks == frozenset({0, 6}):
-        return dual(_build_unverified(frozenset({0, 3}), surface))
-    if masks == frozenset({0, 2, 4, 6}):
-        return dual(_build_unverified(frozenset({0, 1, 2, 3}), surface))
-
-    steps = _recipe_steps(masks)
-    if steps is None:
-        raise BadParameters(f"no recipe for group with masks {sorted(masks)}")
+    if masks not in _RECIPES:
+        # {0,1}, {0,6} and {0,2,4,6}: T(M) transfers through the dual by
+        # i -> 2 - i, and each of their duals has a recipe
+        dual_masks = frozenset(dual_color_set(ColorSet(2, m)).mask for m in masks)
+        return dual(_build_unverified(dual_masks, surface))
     system = crosscap_map(genus)
-    for goal in steps:
+    for goal in _RECIPES[masks]:
         system = make_property(system, goal)
     return system

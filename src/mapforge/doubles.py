@@ -110,9 +110,15 @@ def quotient(system: FlagSystem, u) -> tuple[FlagSystem, np.ndarray]:
     them; they stay fixed-point-free because u avoids every r_j.
     """
     n = system.flag_count
-    u = np.ascontiguousarray(u, dtype=np.intp)
+    outside = BadParameters(f"deck map entries must lie in 0..{n - 1}")
+    try:
+        u = np.ascontiguousarray(u, dtype=np.intp)
+    except OverflowError:
+        raise outside from None
     if u.shape != (n,):
         raise BadParameters(f"deck map has shape {u.shape}, expected ({n},)")
+    if ((u < 0) | (u >= n)).any():
+        raise outside
     ids = np.arange(n, dtype=np.intp)
     for i, conn in enumerate(system.connections):
         bad = np.nonzero(u[conn] != conn[u])[0]
@@ -153,10 +159,9 @@ def recognize_i_double(system: FlagSystem, color_set):
     if coloring is None:
         return None
     a = coloring.assignment
-    # a swap of the color classes sends flag 0 to the other color
+    # For a deck u, a∘u is again an I-coloring of a connected system, so it
+    # equals a or 1 - a; sending flag 0 to the other color makes it 1 - a.
     for u in _isomorphisms(system, system, images=np.flatnonzero(a != a[0])):
-        if not (a[u] != a).all():
-            continue
         # quotient refuses u unless it is an involution avoiding every connection
         try:
             base, phi = quotient(system, u)

@@ -96,23 +96,30 @@ def parse_flag_text(text: str) -> FlagSystem:
     return validate(rank, count, connections)
 
 
+def _row(values) -> str:
+    return " ".join(map(str, values.tolist()))
+
+
 def write_flag_text(system: FlagSystem) -> str:
     """Canonical text form; parse(write(M)) round-trips byte-for-byte."""
     out = [f"rank {system.rank}", f"flags {system.flag_count}"]
     for i, conn in enumerate(system.connections):
-        out.append(f"r{i}: " + " ".join(map(str, conn.tolist())))
+        out.append(f"r{i}: {_row(conn)}")
     return "\n".join(out) + "\n"
 
 
-def read_flag_file(path: str) -> FlagSystem:
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise FlagFileError(None, None, f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise FlagFileError(None, None, f"{path} is not UTF-8 text: {exc}") from None
-    return parse_flag_text(text)
+
+
+def read_flag_file(path: str) -> FlagSystem:
+    return parse_flag_text(_read_text(path))
 
 
 def write_flag_file(system: FlagSystem, path: str) -> None:

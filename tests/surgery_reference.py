@@ -1,10 +1,14 @@
-"""Per-edge reference for the batched edge insertion in construct.
+"""Per-edge reference for the batched edge insertion in construct, and
+the two-map reference for connected_sum.
 
 These are the bodies of subdivide_edge, double_edge, the two conflict
 searches, the per-edge surgery loop and the two odd-cell adjusters as
 they were before make_property moved onto one batched insertion.  They
 are kept unchanged so that the equivalence tests compare the batched
 code against an independent, one-edge-at-a-time implementation.
+connected_sum is the body from before the sum moved onto one
+concatenated array set that is compacted once; it renumbers each map
+through its own table.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 
 from mapforge import cell_labels, cells, edge_of, validate
 from mapforge.construct import _edge_corners
-from mapforge.errors import BadParameters, RankNotTwo
+from mapforge.errors import BadParameters, FaceSelfAdjacent, FaceSizeMismatch, RankNotTwo
 from orbit_reference import alternating_reference
 
 
@@ -187,3 +191,58 @@ def make_property_counted(system, goal):
 
 def make_property(system, goal):
     return make_property_counted(system, goal)[0]
+
+
+def connected_sum(system, other, flag_a, flag_b):
+    if system.rank != 2:
+        raise RankNotTwo(system.rank, "connected_sum")
+    if other.rank != 2:
+        raise RankNotTwo(other.rank, "connected_sum")
+    if not 0 <= flag_a < system.flag_count:
+        raise BadParameters(f"flag {flag_a} out of range for the first map")
+    if not 0 <= flag_b < other.flag_count:
+        raise BadParameters(f"flag {flag_b} out of range for the second map")
+
+    labels_a, _ = cell_labels(system, 2)
+    labels_b, _ = cell_labels(other, 2)
+    fa = labels_a == labels_a[flag_a]
+    fb = labels_b == labels_b[flag_b]
+    size_a, size_b = np.count_nonzero(fa), np.count_nonzero(fb)
+    if size_a != size_b:
+        raise FaceSizeMismatch(size_a // 2, size_b // 2)
+    r2a = system.connections[2]
+    r2b = other.connections[2]
+    if fa[r2a[fa]].any():
+        raise FaceSelfAdjacent("first")
+    if fb[r2b[fb]].any():
+        raise FaceSelfAdjacent("second")
+
+    na, nb = system.flag_count, other.flag_count
+    keep_a = np.flatnonzero(~fa)
+    keep_b = np.flatnonzero(~fb)
+    new_a = np.full(na, -1, dtype=np.intp)
+    new_b = np.full(nb, -1, dtype=np.intp)
+    new_a[keep_a] = np.arange(keep_a.size, dtype=np.intp)
+    new_b[keep_b] = keep_a.size + np.arange(keep_b.size, dtype=np.intp)
+    total = keep_a.size + keep_b.size
+
+    conns = []
+    for j in range(3):
+        arr = np.empty(total, dtype=np.intp)
+        arr[new_a[keep_a]] = new_a[system.connections[j][keep_a]]
+        arr[new_b[keep_b]] = new_b[other.connections[j][keep_b]]
+        conns.append(arr)
+
+    # walk both face boundaries in step and sew the outside flags together
+    k = size_a // 2
+    r0a, r1a = system.connections[0], system.connections[1]
+    r0b, r1b = other.connections[0], other.connections[1]
+    wa, wb = flag_a, flag_b
+    for _ in range(k):
+        for xa, xb in ((wa, wb), (int(r1a[wa]), int(r1b[wb]))):
+            pa, pb = new_a[int(r2a[xa])], new_b[int(r2b[xb])]
+            conns[2][pa] = pb
+            conns[2][pb] = pa
+        wa = int(r1a[r0a[wa]])
+        wb = int(r1b[r0b[wb]])
+    return validate(2, total, conns)

@@ -372,6 +372,29 @@ def test_quotient_needs_deck(run, cube_file):
     assert code == 1
 
 
+@pytest.mark.parametrize("entry", ["999", "-1", "1000000000000000000000000000000"])
+def test_quotient_deck_entry_out_of_range(run, tmp_path, entry):
+    cover_path = tmp_path / "cover.flags"
+    write_flag_file(i_double(platonic("tetrahedron"), (1,)).system, str(cover_path))
+    swap = [str(f ^ 1) for f in range(48)]
+    swap[3] = entry
+    code, out, err = run("quotient", str(cover_path), "--u", " ".join(swap))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content", [None, b"1 0 3 2\xff\n"])
+def test_unreadable_u_file_is_malformed(run, tmp_path, cube_file, content):
+    u_path = tmp_path / "u.txt"
+    if content is not None:
+        u_path.write_bytes(content)
+    code, out, err = run("quotient", cube_file, "--u-file", str(u_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_sum(run, tetra_file):
     code, out, _ = run("sum", tetra_file, tetra_file, "--flags", "0,0")
     assert code == 0

@@ -5,6 +5,7 @@ import pytest
 
 from mapforge import (
     ArrowAssignment,
+    Cell,
     ColorSet,
     Coloring,
     ColoringGroup,
@@ -187,6 +188,12 @@ def test_coloring_group_excluding_cell():
             relaxed = coloring_group_excluding_cell(system, face)
             assert whole.masks <= relaxed.masks
             assert relaxed.masks == whole.masks
+
+
+@pytest.mark.parametrize("flags", [(999,), (-1,), (0, 1), ()])
+def test_excluding_cell_rejects_flags_that_are_not_one_face(flags):
+    with pytest.raises(BadParameters):
+        coloring_group_excluding_cell(platonic("cube"), Cell(2, flags))
 
 
 def test_excluding_cell_can_grow():

@@ -237,6 +237,15 @@ def test_quotient_rejects_bad_shape():
         quotient(platonic("tetrahedron"), np.arange(10))
 
 
+@pytest.mark.parametrize("entry", [48, 999, -1, 10**30])
+def test_quotient_rejects_entries_out_of_range(entry):
+    cover = i_double(platonic("tetrahedron"), (1,)).system
+    swap = [f ^ 1 for f in range(48)]
+    swap[3] = entry
+    with pytest.raises(BadParameters):
+        quotient(cover, swap)
+
+
 def test_recognize_round_trip():
     for system in POOL():
         group = coloring_group(system)

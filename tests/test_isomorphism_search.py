@@ -105,6 +105,12 @@ def test_recognize_takes_the_first_qualifying_deck():
             assert np.array_equal(got[2], phi)
     # the relabelings move the hit away from the sheet swap at index 1
     assert max(hit_indices) > 1
+    # so recognition needs no color-swap filter: a deck sending flag 0 to
+    # the other color swaps the two I-colorings
+    for cover, color_set in _covers():
+        a = find_coloring(cover, color_set).assignment
+        for u in flagsys._isomorphisms(cover, cover, images=np.flatnonzero(a != a[0])):
+            assert (a[u] != a).all()
 
 
 def _same(got, want):

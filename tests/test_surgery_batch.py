@@ -1,9 +1,11 @@
-"""Batched edge insertion against the per-edge reference in surgery_reference.
+"""Batched edge insertion and connected_sum against surgery_reference.
 
 Maps: every rank-2 map of the default corpus (surgeried variants
 included) and a seeded random relabeling of each.  make_property must
 produce byte-identical systems to the old one-surgery-at-a-time loop,
-and one k-edge insertion must equal k single-edge insertions.
+and one k-edge insertion must equal k single-edge insertions.  The
+connected sum of every ordered pair of corpus maps, at the first and
+last flag of each, must equal the reference or raise the same error.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ from cases import CORPUS as _CORPUS, relabeled
 from mapforge import (
     MAKE_GOALS,
     cells,
+    connected_sum,
     double_edge,
     edge_of,
     make_property,
@@ -23,6 +26,7 @@ from mapforge import (
     validate,
 )
 from mapforge.construct import _edge_flags, _insert_edges
+from mapforge.errors import FaceSelfAdjacent, FaceSizeMismatch
 
 
 def same_bytes(a, b):
@@ -83,6 +87,31 @@ def test_edge_flags_are_the_smallest_flag_of_each_edge():
     for _, system in MAPS:
         want = [e.flags[0] for e in cells(system, 1)]
         assert _edge_flags(system).tolist() == want
+
+
+def _sum_or_error(op, first, second, flag_a, flag_b):
+    try:
+        return op(first, second, flag_a, flag_b)
+    except Exception as exc:
+        return type(exc)
+
+
+def test_connected_sum_matches_the_reference():
+    sums, errors = 0, set()
+    for first in (system for _, system in CORPUS):
+        for second in (system for _, system in CORPUS):
+            for flag_a in (0, first.flag_count - 1):
+                for flag_b in (0, second.flag_count - 1):
+                    want = _sum_or_error(ref.connected_sum, first, second, flag_a, flag_b)
+                    got = _sum_or_error(connected_sum, first, second, flag_a, flag_b)
+                    if isinstance(want, type):
+                        assert got is want
+                        errors.add(want)
+                    else:
+                        assert not isinstance(got, type) and same_bytes(got, want)
+                        sums += 1
+    assert sums == 989
+    assert errors == {FaceSelfAdjacent, FaceSizeMismatch}
 
 
 def test_make_property_validates_once(monkeypatch):
