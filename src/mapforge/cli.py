@@ -9,7 +9,8 @@ validate; a ``quotient --u-file`` that cannot be read or is not UTF-8;
 a ``verify`` spec that cannot be read or holds bad JSON, an unknown
 field or an unknown generator; a seed (spec, ``MAPFORGE_SEED`` or
 ``--seed``) or depth that is not a non-negative integer; an unknown
-``--operations`` id; a ``--workers`` count below 1.
+``--operations`` id; a ``--workers`` count below 1; an output path
+(``-o``, ``--sidecar``, ``verify --dump``) that cannot be written.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ from .errors import (
     UnknownName,
     ValidationError,
 )
-from .fileio import _read_text, _row, parse_flag_text, read_flag_file, write_flag_text
+from .fileio import (
+    _read_text, _row, _write_text, parse_flag_text, read_flag_file, write_flag_text)
 from .flagsys import (
     FlagSystem,
     cell_labels,
@@ -71,8 +73,7 @@ def _write_system(system: FlagSystem, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(path, text)
 
 
 def _report(args, pairs) -> None:
@@ -91,8 +92,7 @@ def _sidecar_lines(args, lines) -> None:
         for line in lines:
             print(line, file=sys.stderr)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_text(path, "\n".join(lines) + "\n")
 
 
 def _degree_summary(labels) -> str:

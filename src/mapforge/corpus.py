@@ -52,7 +52,7 @@ from .errors import (
     UnknownName,
     ValidationError,
 )
-from .fileio import parse_flag_text, read_flag_file, write_flag_file, write_flag_text
+from .fileio import _write_text, parse_flag_text, read_flag_file, write_flag_text
 from .flagsys import (
     FlagSystem,
     _has_odd_cell,
@@ -593,10 +593,9 @@ def run_verify(spec: CorpusSpec, workers: int | None = None,
         check_id = ids[index % len(ids)]
         emit(f"FAIL {check_id} [{map_name}]: {detail}")
         if dump_dir is not None:
-            os.makedirs(dump_dir, exist_ok=True)
             safe = re.sub(r"[^A-Za-z0-9_.-]+", "_", map_name)
             path = os.path.join(dump_dir, f"{index:04d}-{check_id}-{safe}.flags")
-            write_flag_file(corpus[index // len(ids)][1], path)
+            _write_text(path, write_flag_text(corpus[index // len(ids)][1]), mkdir=True)
             emit(f"  dumped {path}")
     for ci, check_id in enumerate(ids):
         column = details[ci::len(ids)]

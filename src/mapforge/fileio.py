@@ -9,23 +9,23 @@ Canonical form, written byte-for-byte by write_flag_text:
     r2: 5 4 7 6 1 0 3 2
 
 Lines starting with '#' and blank lines are skipped on input.  Flags are
-0-based.  Everything else is rejected with a line/column diagnostic.
+0-based; an image is a base-10 integer with an optional sign, read as
+int() reads it.  Everything else is rejected with a line/column
+diagnostic.  A path that cannot be read or written is a FlagFileError.
 """
 
 from __future__ import annotations
+
+import contextlib
+import os
+import warnings
+
+import numpy as np
 
 from .errors import FlagFileError
 from .flagsys import FlagSystem, validate
 
 __all__ = ["parse_flag_text", "write_flag_text", "read_flag_file", "write_flag_file"]
-
-
-def _significant_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield lineno, raw
 
 
 def _int_field(token: str, lineno: int, column: int, what: str) -> int:
@@ -37,16 +37,15 @@ def _int_field(token: str, lineno: int, column: int, what: str) -> int:
 
 def parse_flag_text(text: str) -> FlagSystem:
     """Parse and validate a flag file; raises FlagFileError on bad syntax."""
-    lines = list(_significant_lines(text))
-    pos = 0
+    lines = [(lineno, raw) for lineno, raw in enumerate(text.splitlines(), start=1)
+             if raw.strip() and not raw.strip().startswith("#")]
+    pending = iter(lines)
 
     def take(expect: str) -> tuple[int, str]:
-        nonlocal pos
-        if pos >= len(lines):
+        item = next(pending, None)
+        if item is None:
             last = lines[-1][0] if lines else 1
             raise FlagFileError(last, None, f"unexpected end of file, expected {expect}")
-        item = lines[pos]
-        pos += 1
         return item
 
     lineno, raw = take("'rank <n>'")
@@ -68,44 +67,47 @@ def parse_flag_text(text: str) -> FlagSystem:
                             f"flag count must be >= 1, got {count}")
 
     connections = []
-    for i in range(rank + 1):
-        lineno, raw = take(f"'r{i}: ...'")
-        head, sep, rest = raw.partition(":")
-        if not sep or head.strip() != f"r{i}":
-            raise FlagFileError(lineno, 1,
-                                f"expected connection line 'r{i}: ...', got {raw.strip()!r}")
-        tokens = rest.split()
-        if len(tokens) != count:
-            raise FlagFileError(lineno, len(head) + 2,
-                                f"connection r{i} lists {len(tokens)} images, expected {count}")
-        try:
-            row = list(map(int, tokens))
-        except ValueError:
-            # Convert token by token to report where the bad one sits.
-            row = []
-            column = len(head) + 2
-            for tok in tokens:
-                column = raw.index(tok, column - 1) + 1
-                row.append(_int_field(tok, lineno, column, "flag image"))
-                column += len(tok)
-        connections.append(row)
+    # numpy reads "- 0" as one image and a blank row as [0], saturates past
+    # int64 and before 2.0 only warns on junk: such rows take the token loop
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i in range(rank + 1):
+            lineno, raw = take(f"'r{i}: ...'")
+            head, sep, rest = raw.partition(":")
+            if not sep or head.strip() != f"r{i}":
+                raise FlagFileError(lineno, 1,
+                                    f"expected connection line 'r{i}: ...', got {raw.strip()!r}")
+            row = None
+            if "-" not in rest and "+" not in rest and not rest.isspace():
+                with contextlib.suppress(ValueError, Warning):
+                    row = np.fromstring(rest, dtype=np.intp, sep=" ")
+            if row is None or row.size != count or not row.max() < count:  # unsigned, so >= 0
+                tokens = rest.split()
+                if len(tokens) != count:
+                    raise FlagFileError(lineno, len(head) + 2,
+                                        f"connection r{i} lists {len(tokens)} images, expected {count}")
+                row = []
+                column = len(head) + 2
+                for tok in tokens:
+                    column = raw.index(tok, column - 1) + 1
+                    row.append(_int_field(tok, lineno, column, "flag image"))
+                    column += len(tok)
+            connections.append(row)
 
-    if pos < len(lines):
-        lineno, raw = lines[pos]
-        raise FlagFileError(lineno, 1, f"trailing content {raw.strip()!r}")
+    extra = next(pending, None)
+    if extra is not None:
+        raise FlagFileError(extra[0], 1, f"trailing content {extra[1].strip()!r}")
     return validate(rank, count, connections)
 
 
 def _row(values) -> str:
-    return " ".join(map(str, values.tolist()))
+    return ("%d " * len(values) % tuple(values.tolist()))[:-1]
 
 
 def write_flag_text(system: FlagSystem) -> str:
     """Canonical text form; parse(write(M)) round-trips byte-for-byte."""
-    out = [f"rank {system.rank}", f"flags {system.flag_count}"]
-    for i, conn in enumerate(system.connections):
-        out.append(f"r{i}: {_row(conn)}")
-    return "\n".join(out) + "\n"
+    rows = "".join(f"r{i}: {_row(conn)}\n" for i, conn in enumerate(system.connections))
+    return f"rank {system.rank}\nflags {system.flag_count}\n{rows}"
 
 
 def _read_text(path: str) -> str:
@@ -122,6 +124,15 @@ def read_flag_file(path: str) -> FlagSystem:
     return parse_flag_text(_read_text(path))
 
 
+def _write_text(path: str, text: str, mkdir: bool = False) -> None:
+    try:
+        if mkdir:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise FlagFileError(None, None, f"cannot write {path}: {exc.strerror}") from None
+
+
 def write_flag_file(system: FlagSystem, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(write_flag_text(system))
+    _write_text(path, write_flag_text(system))

@@ -528,7 +528,9 @@ def test_non_utf8_input_is_malformed(run, tmp_path, monkeypatch, verb):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_verify_records_a_crashing_check_as_a_failing_cell(run, tmp_path, monkeypatch):
+@pytest.fixture
+def crashing_spec(tmp_path, monkeypatch):
+    """A two-map spec whose axioms check raises on the tetrahedron."""
     def crashing(system, rng):
         if system.flag_count == 24:
             raise RuntimeError("boom")
@@ -539,7 +541,11 @@ def test_verify_records_a_crashing_check_as_a_failing_cell(run, tmp_path, monkey
     spec_path.write_text(json.dumps({"generators": ["tetrahedron", "cube"],
                                      "surgery_depth": 0,
                                      "operations": ["axioms", "tgroup"]}))
-    code, out, _ = run("verify", "--corpus", str(spec_path))
+    return str(spec_path)
+
+
+def test_verify_records_a_crashing_check_as_a_failing_cell(run, crashing_spec):
+    code, out, _ = run("verify", "--corpus", crashing_spec)
     assert code == 1
     assert out.splitlines() == [
         "FAIL axioms [tetrahedron]: RuntimeError: boom",
@@ -547,6 +553,35 @@ def test_verify_records_a_crashing_check_as_a_failing_cell(run, tmp_path, monkey
         "tgroup pass=2 fail=0",
         "maps=2 cells=4 failures=1",
     ]
+
+
+def test_verify_dump_into_a_regular_file_is_malformed(run, tmp_path, crashing_spec):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    code, out, err = run("verify", "--corpus", crashing_spec, "--dump", str(blocker))
+    assert code == 2
+    assert out.splitlines() == ["FAIL axioms [tetrahedron]: RuntimeError: boom"]
+    assert err.startswith(f"error: cannot write {blocker}{os.sep}") and err.count("\n") == 1
+    assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("target", ["-o", "--sidecar"])
+def test_unwritable_output_path_is_malformed(run, cube_file, tmp_path, target):
+    missing = str(tmp_path / "missing" / "out")
+    outputs = {"-o": missing, "--sidecar": str(tmp_path / "sidecar.txt")}
+    outputs[target] = missing
+    code, _, err = run("double", cube_file, "-I", "0",
+                       "-o", outputs["-o"], "--sidecar", outputs["--sidecar"])
+    assert code == 2
+    assert err.startswith(f"error: cannot write {missing}: ") and err.count("\n") == 1
+    assert not os.path.exists(os.path.dirname(missing))
+
+
+def test_unwritable_transform_output_is_malformed(run, cube_file, tmp_path):
+    missing = str(tmp_path / "missing" / "dual.flags")
+    code, out, err = run("dual", cube_file, "-o", missing)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {missing}: ") and err.count("\n") == 1
 
 
 def test_verify_malformed_corpus_json(run, tmp_path):

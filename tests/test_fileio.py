@@ -1,8 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import mapforge.fileio as fileio
 from cases import relabeled
+from fileio_reference import parse_flag_text as reference_parse
 from mapforge import (
+    grid_map,
+    i_double,
+    invoke_generator,
+    is_isomorphic,
+    medial,
     parse_flag_text,
     platonic,
     polygon_gluing,
@@ -136,3 +146,143 @@ def test_random_round_trips():
     for _ in range(8):
         shuffled = relabeled(base, rng.permutation(base.flag_count))
         assert parse_flag_text(write_flag_text(shuffled)) == shuffled
+
+
+# --- the array parser against the token-loop reference ------------------
+
+
+def _outcome(parse, text):
+    """The parsed system, or the error's type, line, column and message."""
+    try:
+        return parse(text)
+    except Exception as exc:  # any difference in what is raised must show
+        return (type(exc), getattr(exc, "line", None), getattr(exc, "column", None),
+                str(exc))
+
+
+def assert_parses_like_reference(text):
+    assert _outcome(parse_flag_text, text) == _outcome(reference_parse, text)
+
+
+EIGHT = "rank 2\nflags 8\nr0: 1 0 3 2 5 4 7 6\nr1: 3 2 1 0 7 6 5 4\nr2: 4 5 6 7 0 1 2 3\n"
+
+
+@pytest.mark.parametrize("r0", [
+    "1 0 3 2 5 4 7 6",                           # canonical
+    "+1 0 3 2 5 4 7 6",                          # explicit sign
+    "1 0 3 2 5 4 007 6",                         # leading zeros
+    "1 0 3 2 5 4 7 06",
+    "1 -0 3 2 5 4 7 6",                          # negative zero
+    "1 0 3 2 5 4 1_0 6",                         # int() reads 10
+    "\u0661 0 3 2 5 4 7 6",                      # Arabic-Indic one
+    "1\u00a00 3 2 5 4 7 6",                      # no-break space separator
+    "1\u20030 3 2 5 4 7 6",                      # em space separator
+    "1\t0 3 2\x0b5 4 7 6  ",                     # ASCII whitespace
+    "1 0 3 2 5 4 7 " + "6" * 24,                 # 24 digits
+    "1 0 3 2 5 4 7 18446744073709551617",        # 2**64 + 1
+    "1 0 3 2 5 4 7 9223372036854775808",         # 2**63
+    "1 0 3 2 5 4 7 -99999999999999999999",
+    "1 0 3 2 5 4 7 -1",
+    "1 0 3 2 5 4 7 8",
+    "1 0 3 2 5 4 7 3x",
+    "1 0 3 2 5 4 7 1.0",
+    "1 0 3 2 5 4 7 0x1",
+    "1 0 3 2 5 4 7 1e0",
+    "1 - 0 3 2 5 4 7 6",                         # numpy reads "- 0" as one image
+    "+ 1 0 3 2 5 4 7 6",
+    "1 0 3 2 5 4 7 6\x00",
+    "1 0 3 2 5 4 7",                             # one image too few
+    "1 0 3 2 5 4 7 6 5",                         # one too many
+    "1 0 3 2 5 4 7 6 #",
+    "",
+    "   ",
+])
+def test_array_parser_matches_reference(r0):
+    assert_parses_like_reference(EIGHT.replace("1 0 3 2 5 4 7 6", r0))
+
+
+@pytest.mark.parametrize("r0", ["", " ", "\t", "0", "+0", "- 0"])
+def test_array_parser_matches_reference_on_one_flag(r0):
+    # numpy reads a blank row as [0], which at one flag is the right count
+    assert_parses_like_reference(f"rank 1\nflags 1\nr0:{r0}\nr1: 0\n")
+
+
+def test_numpy_1x_trailing_junk_warning_is_a_failure(monkeypatch):
+    """numpy before 2.0 warns and returns the numbers read so far."""
+    text = "rank 1\nflags 2\nr0: 1 0 x\nr1: 1 0\n"
+
+    def fromstring_1x(string, dtype, sep):
+        warnings.warn("string or file could not be read to its end due to "
+                      "unmatched data", DeprecationWarning, stacklevel=2)
+        return np.array([1, 0], dtype=dtype)
+
+    for patch in (False, True):
+        if patch:
+            monkeypatch.setattr(fileio.np, "fromstring", fromstring_1x)
+        with pytest.raises(FlagFileError) as info:
+            parse_flag_text(text)
+        assert (info.value.line, info.value.column) == (3, 4)
+        assert "connection r0 lists 3 images, expected 2" in str(info.value)
+
+
+ORACLE_SEEDS = [write_flag_text(invoke_generator(text)).encode()
+                for text in ("polygon aA", "tetrahedron", "crosscap 2", "cube-maniplex 3")]
+
+# digits, signs, separators (ASCII, no-break space, em space), the bytes
+# of an Arabic-Indic one, letters and punctuation int() or numpy accept
+# in some other form, NUL and a byte that is not UTF-8
+ORACLE_NOISE = [bytes([b]) for b in b"0123456789+- \t\x0b\n:#x._e\x00\xff"] + [
+    "\u00a0".encode(), "\u2003".encode(), "\u0661".encode()]
+
+
+@st.composite
+def mutated_flag_texts(draw):
+    data = bytearray(draw(st.sampled_from(ORACLE_SEEDS)))
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(data)))
+        noise = draw(st.sampled_from(ORACLE_NOISE))
+        edit = draw(st.sampled_from(("replace", "insert", "delete")))
+        if edit == "insert" or pos == len(data):
+            data[pos:pos] = noise
+        elif edit == "replace":
+            data[pos:pos + 1] = noise
+        else:
+            del data[pos]
+    return data.decode("utf-8", errors="surrogateescape")
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_flag_texts())
+def test_array_parser_matches_reference_on_mutated_files(text):
+    assert_parses_like_reference(text)
+
+
+# --- byte identity at scale ---------------------------------------------
+
+
+def _joined(values):
+    return " ".join(map(str, values.tolist()))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: tri_torus(60, 60),
+    lambda: grid_map(2, 600, 0),
+    lambda: medial(tri_torus(60, 60)),
+], ids=["tri-torus-60-60", "grid-2-600-0", "medial-tri-torus-60-60"])
+def test_large_maps_write_the_joined_text_and_round_trip(make):
+    system = make()
+    text = write_flag_text(system)
+    assert text == f"rank {system.rank}\nflags {system.flag_count}\n" + "".join(
+        f"r{i}: {_joined(conn)}\n" for i, conn in enumerate(system.connections))
+    assert parse_flag_text(text) == system
+
+
+def test_sidecar_and_mapping_rows_are_the_joined_text():
+    system = tri_torus(60, 60)
+    projection = i_double(system, (0,)).projection
+    assert fileio._row(projection) == _joined(projection)
+    perm = np.random.default_rng(5).permutation(system.flag_count)
+    mapping = is_isomorphic(system, relabeled(system, perm))
+    assert mapping is not None
+    assert fileio._row(mapping) == _joined(mapping)
