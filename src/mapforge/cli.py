@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .coloring import ColorSet, ColoringGroup, coloring_group, direct_pso, find_coloring
+from .coloring import PSO_KINDS, ColorSet, ColoringGroup, coloring_group, direct_pso, find_coloring
 from .construct import (
     build_map_with_group,
     connected_sum,
@@ -365,8 +365,7 @@ def _parser() -> argparse.ArgumentParser:
 
     sub = verbs.add_parser("pso", help="direct pseudo-orientation oracle")
     _add_io(sub, output=False)
-    sub.add_argument("--kind", required=True,
-                     choices=("full", "face", "vertex", "edge"))
+    sub.add_argument("--kind", required=True, choices=tuple(PSO_KINDS))
     _add_json(sub)
     sub.set_defaults(func=cmd_pso)
 

@@ -6,27 +6,14 @@ sets admitting a coloring form a subgroup of the power set of
 {0..rank} under symmetric difference; that subgroup is the central
 invariant computed here.
 
-direct_pso provides an independent route to the four rank-2
-pseudo-orientation properties.  It never consults find_coloring: each
-kind two-colors a cell-level constraint graph (faces, vertices or
-edges carry a binary "circular direction" and every crossing imposes a
-parity relation), which is exactly the existence question for the
-matching arrow assignment.
-
-One relation builder, _cell_relations, makes that cell graph for its
-three users: direct_pso (arrows), i_face_bipartite (bridges) and
-construct._conflicts (the edges make_property fixes).
-
-Both routes run on the orbit kernel of flagsys (flagsys._orbits), which
-gives every flag a bitmask potential relative to the smallest flag of
-its orbit.  Each system makes one parity pass, cached on the instance:
-with flip 1<<j on letter j, every edge leaves a cycle mask
-pot[f] ^ pot[r_j f] ^ (1<<j); T(M) is the set of color sets with even
-overlap against every cycle mask, and an I-coloring XORs the bits j in I
-of pot.  The pass is linear in the flag count and polynomial in the
-rank; find_coloring and coloring_group read it and handle rank up to 63
-(the masks fit a uint64), while direct_pso never does.  The tests keep a
-pure-Python union-find and BFS reference for every function on the kernel.
+The parity pass (FlagSystem._parity) runs the orbit kernel (flagsys._orbits)
+once with flip 1<<j on letter j: T(M) holds the color sets meeting every
+cycle mask it leaves evenly, and an I-coloring XORs the bits j in I of its
+potentials.  find_coloring and coloring_group read it.  The cell route
+(_cell_route, cached per dimension d) never does: it colors inside each
+d-cell, then relates the cells across r_d.  direct_pso, i_face_bipartite
+and construct._conflicts read it; pso-oracle compares its T(M) with
+coloring_group at every rank and d.  Both handle rank up to 63.
 """
 
 from __future__ import annotations
@@ -242,10 +229,16 @@ def find_coloring(system: FlagSystem, color_set) -> Coloring | None:
     pot, basis = system._parity
     if any((c & cs.mask).bit_count() & 1 for c in basis):
         return None
-    colors = np.zeros_like(pot)
-    for j in cs.indices:
-        colors ^= pot >> j
-    return Coloring(color_set=cs, assignment=colors & 1)
+    return Coloring(color_set=cs, assignment=_bits_in(pot, cs.mask))
+
+
+def _bits_in(pot: np.ndarray, mask: int) -> np.ndarray:
+    """XOR of the bits of `mask` in every potential: the color set's 0/1 values."""
+    out = np.zeros_like(pot)
+    for j in range(mask.bit_length()):
+        if mask >> j & 1:
+            out ^= pot >> j
+    return out & 1
 
 
 def is_valid_coloring(system: FlagSystem, color_set, assignment) -> bool:
@@ -362,23 +355,28 @@ PSO_KINDS = {
 }
 
 
-def _cell_relations(system: FlagSystem, dim: int, flip: int, alternate: bool):
-    """(count, edges, flips) of the graph of dimension-`dim` cells.
+def _cell_route(system: FlagSystem, dim: int):
+    """(labels, relation, bits, basis) of the dimension-`dim` cells, cached.
 
-    One kernel pass over the connections other than r_dim numbers the
-    cells by smallest flag; the edge group joins the cells of f and
-    f . r_dim for every flag f, and a per-cell bit changes by `flip` across
-    it.  With `alternate` the pass also carries a reference bit alternating
-    across every other letter, one circular direction per rank-2 cell
-    (0 on its smallest flag), and corrects the change by it.
+    Pass one (letters j != dim, flip 1 << j) numbers the cells and gives
+    each flag a letter mask ref.  Pass two relates the cells of f and
+    f . r_dim by relation[f] = (1 << dim) ^ ref[f] ^ ref[f . r_dim] and
+    gives each cell a mask, bits.  Color set I has a coloring, the I-parity
+    of ref plus bits, exactly when it meets both passes' cycle bases evenly.
     """
-    letters = [(None, c) for j, c in enumerate(system.connections) if j != dim]
-    flips = [1] * len(letters) if alternate else None
-    root, ref, _ = _orbits(system.flag_count, letters, flips)
-    labels, count = _root_labels(root)
-    cross = system.connections[dim]
-    edges = [(labels, labels[cross])]
-    return count, edges, [flip ^ ref ^ ref[cross] if alternate else flip]
+    if dim not in system._routes:
+        letters = [(None, c) for j, c in enumerate(system.connections) if j != dim]
+        flips = [1 << j for j in range(system.rank + 1) if j != dim]
+        root, ref, _ = _orbits(system.flag_count, letters, flips)
+        ref = ref.astype(np.min_scalar_type(1 << system.rank), copy=False)  # room for 1 << dim
+        labels, count = _root_labels(root)
+        cross = system.connections[dim]
+        edges = [(labels, labels[cross])]
+        relations = [(1 << dim) ^ ref ^ ref[cross]]
+        _, bits, _ = _orbits(count, edges, relations)
+        basis = _cycle_basis(ref, letters, flips) + _cycle_basis(bits, edges, relations)
+        system._routes[dim] = labels, relations[0], bits, basis
+    return system._routes[dim]
 
 
 def direct_pso(system: FlagSystem, kind: str) -> ArrowAssignment | None:
@@ -388,21 +386,19 @@ def direct_pso(system: FlagSystem, kind: str) -> ArrowAssignment | None:
     connections, so it carries exactly two circular directions; a
     reference direction is fixed per cell and every crossing of the
     remaining connection relates the direction bits of the two cells it
-    joins.  The orbit kernel solves those relations on the cell graph;
-    each component's bits are anchored at 0 on its smallest cell.
+    joins.  These are the cell route's relations for the kind's color
+    set; each component's bits are anchored at 0 on its smallest cell.
     """
     if system.rank != 2:
         raise RankNotTwo(system.rank, "direct_pso")
     if kind not in PSO_KINDS:
         raise BadParameters(f"unknown pseudo-orientation kind {kind!r}")
-    dim, _, _, flip = PSO_KINDS[kind]
-    # Bits with bit[A] ^ bit[B] = flip ^ ref[f] ^ ref[g] across every crossing
-    # induce a flag coloring that crosses r_dim with parity flip.
-    count, edges, relations = _cell_relations(system, dim, flip, True)
-    _, bits, _ = _orbits(count, edges, relations)
-    if _cycle_basis(bits, edges, relations):
+    dim, inner, crossing, flip = PSO_KINDS[kind]
+    mask = (1 << inner[0]) | (1 << inner[1]) | flip << crossing
+    _, _, bits, basis = _cell_route(system, dim)
+    if any((c & mask).bit_count() & 1 for c in basis):
         return None
-    return ArrowAssignment(kind=kind, cell_dimension=dim, arrows=bits)
+    return ArrowAssignment(kind=kind, cell_dimension=dim, arrows=_bits_in(bits, mask))
 
 
 def i_face_bipartite(system: FlagSystem, i: int) -> bool:
@@ -414,6 +410,4 @@ def i_face_bipartite(system: FlagSystem, i: int) -> bool:
     """
     if not 0 <= i <= system.rank:
         raise BadParameters(f"index {i} out of range 0..{system.rank}")
-    count, edges, flips = _cell_relations(system, i, 1, False)
-    _, side, _ = _orbits(count, edges, flips)
-    return not _cycle_basis(side, edges, flips)
+    return not any(c >> i & 1 for c in _cell_route(system, i)[3])

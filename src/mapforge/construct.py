@@ -5,6 +5,10 @@ gluing words, grid and strip parameters) into validated flag systems.
 The surgeries insert degree-2 vertices or parallel edges without
 leaving the surface, and build_map_with_group composes them to realize
 any admissible coloring group on any admissible surface.
+
+The parametrized generators and build_map_with_group work out the flag
+count of what they are asked for before they allocate anything, and
+refuse with BadParameters a map of more than _MAX_FLAGS flags.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ import numpy as np
 from .coloring import (
     ColoringGroup,
     ColorSet,
-    _cell_relations,
+    _bits_in,
+    _cell_route,
     all_subgroups,
     coloring_group,
 )
@@ -46,6 +51,8 @@ from .flagsys import (
 from .doubles import i_double
 from .operators import dual, dual_color_set
 
+_MAX_FLAGS = 10_000_000
+
 __all__ = [
     "RotationSystem",
     "GluingWord",
@@ -68,6 +75,11 @@ __all__ = [
     "all_subgroups",
     "build_map_with_group",
 ]
+
+
+def _check_flags(flags: int, what: str) -> None:
+    if flags > _MAX_FLAGS:
+        raise BadParameters(f"{what} needs more than the limit of {_MAX_FLAGS} flags")
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +231,7 @@ def tri_torus(m: int, n: int) -> FlagSystem:
     """
     if m < 1 or n < 1:
         raise BadParameters(f"grid dimensions must be positive, got {m}x{n}")
+    _check_flags(12 * m * n, f"tri-torus {m} {n}")
     dirs = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
 
     def dart(i, j, t):
@@ -324,6 +337,7 @@ def crosscap_map(k: int) -> FlagSystem:
     """Canonical one-vertex map on the non-orientable genus-k surface."""
     if k < 1:
         raise BadParameters(f"need at least one crosscap, got {k}")
+    _check_flags(4 * k, f"crosscap {k}")
     return _glued_polygon(_crosscap_pairs(0, k))
 
 
@@ -409,6 +423,7 @@ def grid_map(m: int, n: int, k: int) -> FlagSystem:
         raise BadParameters(f"grid dimensions must be positive, got {m}x{n}")
     if not 0 <= k <= n:
         raise BadParameters(f"twist count {k} out of range 0..{n}")
+    _check_flags(8 * m * n, f"grid {m} {n} {k}")
 
     def sq(i, j):
         return j * m + i
@@ -438,10 +453,13 @@ def cube_maniplex(d: int) -> FlagSystem:
     """
     if d < 2:
         raise BadParameters(f"cube dimension must be >= 2, got {d}")
+    n = 1
+    for k in range(1, d + 1):  # 2^d * d! = 2 * 4 * ... * 2d, checked as it grows
+        n *= 2 * k
+        _check_flags(n, f"cube-maniplex {d}")
     perms = list(permutations(range(d)))
     index = {p: i for i, p in enumerate(perms)}
     fact = len(perms)
-    n = (1 << d) * fact
     conns = [np.empty(n, dtype=np.intp) for _ in range(d)]
     for x in range(1 << d):
         base = x * fact
@@ -563,22 +581,22 @@ def triple_edge(system: FlagSystem, edge: Cell) -> FlagSystem:
 # goal-directed adjustment
 
 
-def _conflicts(system: FlagSystem, dim: int, flip: int, alternate: bool) -> np.ndarray:
+def _conflicts(system: FlagSystem, dim: int, mask: int) -> np.ndarray:
     """Edges (by smallest flag) that break a breadth-first assignment of
-    one bit per dimension-`dim` cell on the graph of _cell_relations.
+    one bit per dimension-`dim` cell for color set `mask` on _cell_route.
 
     The BFS runs from cell 0 in edge order, so the chosen edges do not
     depend on the orbit kernel's spanning forest.
     """
-    count, [(labels, across)], [change] = _cell_relations(system, dim, flip, alternate)
+    labels, relation, route_bits, _ = _cell_route(system, dim)
     a = _edge_flags(system)
-    u, w = labels[a], across[a]
-    gamma = np.broadcast_to(change, labels.shape)[a]
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(count)]
+    u, w = labels[a], labels[system.connections[dim][a]]
+    gamma = _bits_in(relation[a], mask)
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(route_bits.size)]
     for x, y, g in zip(u.tolist(), w.tolist(), gamma.tolist()):
         adj[x].append((y, g))
         adj[y].append((x, g))
-    bit = [-1] * count
+    bit = [-1] * route_bits.size
     bit[0] = 0
     queue = deque([0])
     while queue:
@@ -607,13 +625,12 @@ def _make_odd(system: FlagSystem, dim: int) -> FlagSystem:
     return _insert_edges(once, a[:1], letter)
 
 
-# goal -> (cell dimension, bit change across r_dim, alternating reference?);
-# the insertion letter at each conflicting edge equals the dimension.
+# goal -> (cell dimension = insertion letter at each conflict, color set mask)
 _CONFLICT_GOALS = {
-    "vertex_bipartite": (0, 1, False),
-    "face_bipartite": (2, 1, False),
-    "vpso": (0, 0, True),
-    "fpso": (2, 0, True),
+    "vertex_bipartite": (0, 0b001),
+    "face_bipartite": (2, 0b100),
+    "vpso": (0, 0b110),
+    "fpso": (2, 0b011),
 }
 _ODD_GOALS = {"odd_face": 2, "odd_vertex": 0}
 MAKE_GOALS = tuple(_CONFLICT_GOALS) + tuple(_ODD_GOALS)
@@ -634,8 +651,8 @@ def make_property(system: FlagSystem, goal: str) -> FlagSystem:
     if system.rank != 2:
         raise RankNotTwo(system.rank, "make_property")
     if goal in _CONFLICT_GOALS:
-        dim, flip, alternate = _CONFLICT_GOALS[goal]
-        conflicts = _conflicts(system, dim, flip, alternate)
+        dim, mask = _CONFLICT_GOALS[goal]
+        conflicts = _conflicts(system, dim, mask)
         return _insert_edges(system, conflicts, dim) if conflicts.size else system
     if goal in _ODD_GOALS:
         return _make_odd(system, _ODD_GOALS[goal])
@@ -729,8 +746,10 @@ def build_map_with_group(group, surface: SurfaceSignature) -> FlagSystem:
     start from a one-vertex seed and run insertion recipes, except the
     two engineered families (edge-bipartite grids and strip gluings).
     Each recipe step is one make_property pass, so every genus works
-    and the size grows linearly with it.  Postconditions are re-verified
-    before returning.
+    and the size grows linearly with it: at most 48 flags per crosscap
+    of the non-orientable surface built, doubled for an orientable
+    target.  A surface whose bound exceeds _MAX_FLAGS is refused.
+    Postconditions are re-verified before returning.
     """
     if not isinstance(group, ColoringGroup):
         group = ColoringGroup.of(2, group)
@@ -747,6 +766,8 @@ def build_map_with_group(group, surface: SurfaceSignature) -> FlagSystem:
         raise BadParameters(f"non-orientable genus must be >= 1, got {surface.genus}")
     if surface.orientable and surface.genus < 0:
         raise BadParameters(f"genus must be >= 0, got {surface.genus}")
+    sheets = 2 if surface.orientable else 1
+    _check_flags(48 * sheets * (surface.genus + sheets - 1), f"a map on {surface}")
 
     result = _build_unverified(masks, surface)
 

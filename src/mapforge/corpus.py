@@ -21,6 +21,8 @@ import numpy as np
 from .coloring import (
     PSO_KINDS,
     ColorSet,
+    _cell_route,
+    _orthogonal_group,
     coloring_group,
     direct_pso,
     find_coloring,
@@ -44,6 +46,8 @@ from .construct import (
     triple_edge,
     MAKE_GOALS,
     PLATONIC_NAMES,
+    _CONFLICT_GOALS,
+    _ODD_GOALS,
 )
 from .doubles import i_double, recognize_i_double
 from .errors import (
@@ -285,6 +289,10 @@ def _check_bridges(system, rng):
 
 
 def _check_pso_oracle(system, rng):
+    group = coloring_group(system)
+    for d in range(system.rank + 1):
+        if _orthogonal_group(system.rank, _cell_route(system, d)[3]) != group:
+            return f"d={d}: the cell route's group differs from T={group}"
     if system.rank != 2:
         return None
     for kind, (dim, inner, crossing, flip) in PSO_KINDS.items():
@@ -489,14 +497,10 @@ def _check_surgery_chi(system, rng):
     return None
 
 
-_GOAL_HOLDS = {
-    "vertex_bipartite": lambda s: i_face_bipartite(s, 0),
-    "face_bipartite": lambda s: i_face_bipartite(s, 2),
-    "vpso": lambda s: direct_pso(s, "vertex") is not None,
-    "fpso": lambda s: direct_pso(s, "face") is not None,
-    "odd_face": lambda s: _has_odd_cell(cell_labels(s, 2)[0]),
-    "odd_vertex": lambda s: _has_odd_cell(cell_labels(s, 0)[0]),
-}
+def _goal_holds(system, goal):
+    if goal in _CONFLICT_GOALS:  # asked of the parity pass, not of the cell route
+        return _CONFLICT_GOALS[goal][1] in coloring_group(system)
+    return _has_odd_cell(cell_labels(system, _ODD_GOALS[goal])[0])
 
 
 def _check_make_property(system, rng):
@@ -505,7 +509,7 @@ def _check_make_property(system, rng):
     signature = surface_signature(system)
     for goal in MAKE_GOALS:
         grown = make_property(system, goal)
-        if not _GOAL_HOLDS[goal](grown):
+        if not _goal_holds(grown, goal):
             return f"make_property({goal}) postcondition fails"
         if surface_signature(grown) != signature:
             return f"make_property({goal}) changed the surface"

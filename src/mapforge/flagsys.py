@@ -20,8 +20,9 @@ for every node the smallest node of its orbit plus its bitmask
 potential relative to that node.  It hooks roots onto smaller
 neighbouring roots and pointer-jumps (Shiloach-Vishkin), so a handful of
 whole-array passes replace one Python step per flag.  A system is
-immutable, so it caches one parity pass (FlagSystem._parity, behind every
-coloring question) and one label pass per cell dimension (cell_labels).
+immutable, so it caches one parity pass (FlagSystem._parity) and, per
+cell dimension, one label pass (cell_labels) and one cell route
+(coloring._cell_route); pso-oracle compares the two routes at every rank.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ class FlagSystem:
         return _letter_parity(self, [(None, c) for c in self.connections])
 
     _labels = cached_property(lambda self: {})  # omit -> cell_labels result
+    _routes = cached_property(lambda self: {})  # dim -> coloring._cell_route result
 
     def __reduce__(self):  # unpickling validates afresh, with empty caches
         return validate, (self.rank, self.flag_count, self.connections)
@@ -132,7 +134,7 @@ def _orbits(n: int, edges, flips=None):
     parent = np.arange(n, dtype=np.intp)
     pot = None
     if flips is not None:
-        top = max((int(np.max(w, initial=0)) for w in flips), default=0)
+        top = max((w if isinstance(w, int) else int(w.max(initial=0)) for w in flips), default=0)
         pot = np.zeros(n, dtype=np.min_scalar_type(top))
     rounds = 0
     while True:
@@ -141,7 +143,7 @@ def _orbits(n: int, edges, flips=None):
             a = parent if src is None else parent[src]
             b = parent[dst]
             # Both directions are listed, so hooking from the larger end suffices.
-            sel = np.flatnonzero(a > b)
+            sel = (a > b).nonzero()[0]
             if not sel.size:
                 continue
             hooked = True

@@ -229,6 +229,53 @@ def direct_pso(system, kind: str) -> np.ndarray | None:
     return bits
 
 
+def cell_route_group(system, dim: int) -> ColoringGroup:
+    """T(M) decided on the dimension-`dim` cells, one color set at a time.
+
+    For each color set I, a BFS inside every cell colors its flags across
+    the letters other than dim; a cell that cannot be colored rules I
+    out.  Each cell then carries one unknown bit, and every crossing of
+    r_dim asks the bits of its two cells to differ by [dim in I] plus the
+    colors of its two flags.
+    """
+    n = system.flag_count
+    conns = [conn.tolist() for conn in system.connections]
+    inner = [conn for j, conn in enumerate(conns) if j != dim]
+    cross = conns[dim]
+    members = []
+    for mask in range(1 << (system.rank + 1)):
+        flips = [mask >> j & 1 for j in range(system.rank + 1) if j != dim]
+        cell = [-1] * n
+        color = [0] * n
+        count = 0
+        ok = True
+        for start in range(n):
+            if cell[start] >= 0:
+                continue
+            cell[start] = count
+            queue = deque([start])
+            while ok and queue:
+                f = queue.popleft()
+                for conn, flip in zip(inner, flips):
+                    g = conn[f]
+                    if cell[g] < 0:
+                        cell[g] = count
+                        color[g] = color[f] ^ flip
+                        queue.append(g)
+                    elif color[g] != color[f] ^ flip:
+                        ok = False
+                        break
+            count += 1
+        if not ok:
+            continue
+        uf = ParityDisjointSets(count)
+        crossing = mask >> dim & 1
+        if all(uf.union(cell[f], cell[cross[f]], crossing ^ color[f] ^ color[cross[f]])
+               for f in range(n)):
+            members.append(mask)
+    return ColoringGroup(rank=system.rank, masks=frozenset(members))
+
+
 def i_face_bipartite(system, i: int) -> bool:
     labels, count = cell_labels(system, omit=i)
     adj: list[set[int]] = [set() for _ in range(count)]

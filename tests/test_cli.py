@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -456,6 +457,33 @@ def test_build_group_exceptional(run):
     code, _, err = run("build-group", "--group", "e,02", "--surface", "n1")
     assert code == 1
     assert "error:" in err
+
+
+HUGE = "100000000000000000000"
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "tri-torus", HUGE, "2"),
+    ("gen", "grid", HUGE, "3", "1"),
+    ("gen", "crosscap", HUGE),
+    ("gen", "cube-maniplex", HUGE),
+    ("gen", "tri-torus", "1000", "834"),  # 10,008,000 flags
+    ("gen", "cube-maniplex", "8"),  # 10,321,920 flags
+    ("build-group", "--group", "e,0", "--surface", "n99999999999999999999999"),
+    ("build-group", "--group", "e,012", "--surface", "o99999999999999999999999"),
+], ids=lambda argv: " ".join(argv).replace(HUGE, "1e20"))
+def test_maps_over_the_size_limit_are_refused_before_allocating(run, argv):
+    tracemalloc.start()
+    try:
+        code, out, err = run(*argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "limit of 10000000 flags" in err
+    assert peak < 1_000_000
 
 
 VERIFY_SPEC = {"generators": ["tetrahedron", "crosscap 2"],

@@ -425,6 +425,12 @@ def test_connected_sum_group_meets_when_faces_avoidable():
         assert frozenset(coloring_group(joined).masks) == want
 
 
+def _flag_bound(surface):
+    """build_map_with_group's size bound: 48 flags per crosscap of the
+    non-orientable surface it builds, doubled for an orientable one."""
+    return 96 * (surface.genus + 1) if surface.orientable else 48 * surface.genus
+
+
 def test_build_map_with_group_full_grid():
     surfaces = [SurfaceSignature(False, g) for g in range(1, 7)] \
         + [SurfaceSignature(True, g) for g in range(4)]
@@ -442,6 +448,7 @@ def test_build_map_with_group_full_grid():
             built += 1
             assert coloring_group(system).masks == group.masks
             assert surface_signature(system) == surface
+            assert system.flag_count <= _flag_bound(surface)
     assert built == 83
     assert exceptional == 3
     assert mismatched == 74
@@ -462,6 +469,7 @@ def test_build_map_with_group_at_high_genus():
             built += 1
             assert coloring_group(system).masks == group.masks
             assert surface_signature(system) == surface
+            assert system.flag_count <= _flag_bound(surface)
     assert built == 11 * 11 + 5 * 6
 
 
@@ -488,6 +496,11 @@ def test_build_map_guards():
         build_map_with_group(trivial, SurfaceSignature(False, 0))
     with pytest.raises(BadParameters):
         build_map_with_group(full, SurfaceSignature(True, -1))
+    # 48 * 208334 and 96 * 104167 flags are just over the limit of 10**7
+    with pytest.raises(BadParameters, match="limit"):
+        build_map_with_group(trivial, SurfaceSignature(False, 208334))
+    with pytest.raises(BadParameters, match="limit"):
+        build_map_with_group(full, SurfaceSignature(True, 104166))
     with pytest.raises(BadParameters):
         build_map_with_group(ColoringGroup.parse("e", 3),
                              SurfaceSignature(False, 1))

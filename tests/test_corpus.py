@@ -154,6 +154,23 @@ def test_transfers_check_covers_every_rank(monkeypatch):
     assert PROPERTY_CHECKS["transfers"](system, None).startswith("petrie transfer fails")
 
 
+@pytest.mark.parametrize("name,goal", [
+    ("tetrahedron", "vertex_bipartite"), ("cube", "face_bipartite"), ("tetrahedron", "vpso"),
+    ("cube", "fpso"), ("cube", "odd_face"), ("octahedron", "odd_vertex")])
+def test_make_property_check_sees_each_unmet_goal(monkeypatch, name, goal):
+    """The make-property check fails when make_property returns a map
+    that lacks the goal unchanged."""
+    import mapforge.corpus as corpus
+
+    system = platonic(name)
+    assert PROPERTY_CHECKS["make-property"](system, None) is None
+    real = corpus.make_property
+    monkeypatch.setattr(corpus, "make_property",
+                        lambda s, wanted: s if wanted == goal else real(s, wanted))
+    detail = PROPERTY_CHECKS["make-property"](system, None)
+    assert detail == f"make_property({goal}) postcondition fails"
+
+
 def test_run_verify_workers_match_sequential():
     sequential, parallel = [], []
     assert run_verify(SMALL_SPEC, emit=sequential.append)

@@ -13,11 +13,13 @@ import pytest
 import orbit_reference as ref
 from cases import CORPUS, DOUBLES, color_sets, relabeled
 from mapforge import (
+    ColorSet,
     cell_labels,
     cells,
     coloring_group,
     coloring_group_excluding_cell,
     crosscap_map,
+    cube_maniplex,
     direct_pso,
     find_coloring,
     grid_map,
@@ -26,7 +28,7 @@ from mapforge import (
     strip_map,
     validate,
 )
-from mapforge.coloring import PSO_KINDS, _cell_relations
+from mapforge.coloring import PSO_KINDS, _cell_route, _orthogonal_group
 from mapforge.errors import Disconnected
 from mapforge.flagsys import _orbits
 
@@ -86,24 +88,24 @@ def test_coloring_group_excluding_cell_matches_reference():
             assert got.masks == ref.coloring_group_excluding_cell(system, face).masks, name
 
 
-def test_alternating_reference_matches_reference():
-    """_cell_relations' flips are flip ^ ref ^ ref[cross], with the
-    reference taken from the pure-Python oracle; without `alternate` they
-    are the plain flip."""
-    for name, system in RANK2:
-        for dim in range(3):
-            inner = tuple(j for j in range(3) if j != dim)
-            labels, count = ref.cell_labels(system, dim)
-            cross = system.connections[dim]
-            alt = ref.alternating_reference(system, inner)
-            for flip in (0, 1):
-                got_count, [(src, dst)], [change] = _cell_relations(system, dim, flip, True)
-                assert got_count == count, name
-                assert np.array_equal(src, labels), name
-                assert np.array_equal(dst, labels[cross]), name
-                assert np.array_equal(change, flip ^ alt ^ alt[cross]), (name, dim, flip)
-                plain = _cell_relations(system, dim, flip, False)
-                assert plain[0] == count and plain[2] == [flip], (name, dim, flip)
+_CUBE5 = cube_maniplex(5)
+# rank 4; a sweep of all 28 connected I-doubles takes about 40 s in pure Python
+RANK4 = [("cube-maniplex 5", _CUBE5)] + [
+    (f"cube-maniplex 5 / {cs}-double", i_double(_CUBE5, cs).system)
+    for cs in (ColorSet.of((1,), 4), ColorSet.of((4,), 4), ColorSet.of((0, 2), 4))]
+
+
+def test_cell_route_matches_reference():
+    """At every d, the group orthogonal to the route's cycle basis is the
+    group the one-color-set-at-a-time reference finds on the d-cells, and
+    the route numbers the cells as cell_labels does."""
+    for name, system in MAPS + RANK4:
+        for d in range(system.rank + 1):
+            labels, relation, bits, basis = _cell_route(system, d)
+            want = ref.cell_route_group(system, d)
+            assert _orthogonal_group(system.rank, basis) == want, (name, d)
+            assert np.array_equal(labels, cell_labels(system, d)[0]), (name, d)
+            assert relation.shape == labels.shape and bits.size == labels.max() + 1
 
 
 def test_direct_pso_arrows_match_reference_byte_for_byte():
