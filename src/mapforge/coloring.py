@@ -355,28 +355,35 @@ PSO_KINDS = {
 }
 
 
-def _cell_route(system: FlagSystem, dim: int):
-    """(labels, relation, bits, basis) of the dimension-`dim` cells, cached.
-
-    Pass one (letters j != dim, flip 1 << j) numbers the cells and gives
-    each flag a letter mask ref.  Pass two relates the cells of f and
-    f . r_dim by relation[f] = (1 << dim) ^ ref[f] ^ ref[f . r_dim] and
-    gives each cell a mask, bits.  Color set I has a coloring, the I-parity
-    of ref plus bits, exactly when it meets both passes' cycle bases evenly.
-    """
-    if dim not in system._routes:
+def _cell_pass(system: FlagSystem, dim: int):
+    """(labels, count, relation, cycle basis arguments) of _cell_route's pass one."""
+    if (dim, 1) not in system._routes:
         letters = [(None, c) for j, c in enumerate(system.connections) if j != dim]
         flips = [1 << j for j in range(system.rank + 1) if j != dim]
         root, ref, _ = _orbits(system.flag_count, letters, flips)
         ref = ref.astype(np.min_scalar_type(1 << system.rank), copy=False)  # room for 1 << dim
         labels, count = _root_labels(root)
-        cross = system.connections[dim]
-        edges = [(labels, labels[cross])]
-        relations = [(1 << dim) ^ ref ^ ref[cross]]
-        _, bits, _ = _orbits(count, edges, relations)
-        basis = _cycle_basis(ref, letters, flips) + _cycle_basis(bits, edges, relations)
-        system._routes[dim] = labels, relations[0], bits, basis
-    return system._routes[dim]
+        relation = (1 << dim) ^ ref ^ ref[system.connections[dim]]
+        system._routes[dim, 1] = labels, count, relation, (ref, letters, flips)
+    return system._routes[dim, 1]
+
+
+def _cell_route(system: FlagSystem, dim: int):
+    """(labels, relation, bits, basis) of the dimension-`dim` cells, cached.
+
+    Pass one (_cell_pass, all that construct._conflicts reads: letters j != dim,
+    flip 1 << j) numbers the cells and gives each flag a letter mask ref.  Pass two
+    relates the cells of f and f . r_dim by relation[f] = (1 << dim) ^ ref[f] ^
+    ref[f . r_dim] and gives each cell a mask, bits.  Color set I has a coloring, the
+    I-parity of ref plus bits, exactly when it meets both passes' cycle bases evenly.
+    """
+    if (dim, 2) not in system._routes:
+        labels, count, relation, first = _cell_pass(system, dim)
+        edges = [(labels, labels[system.connections[dim]])]
+        _, bits, _ = _orbits(count, edges, [relation])
+        basis = _cycle_basis(*first) + _cycle_basis(bits, edges, [relation])
+        system._routes[dim, 2] = labels, relation, bits, basis
+    return system._routes[dim, 2]
 
 
 def direct_pso(system: FlagSystem, kind: str) -> ArrowAssignment | None:

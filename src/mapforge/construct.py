@@ -23,7 +23,7 @@ from .coloring import (
     ColoringGroup,
     ColorSet,
     _bits_in,
-    _cell_route,
+    _cell_pass,
     all_subgroups,
     coloring_group,
 )
@@ -583,20 +583,20 @@ def triple_edge(system: FlagSystem, edge: Cell) -> FlagSystem:
 
 def _conflicts(system: FlagSystem, dim: int, mask: int) -> np.ndarray:
     """Edges (by smallest flag) that break a breadth-first assignment of
-    one bit per dimension-`dim` cell for color set `mask` on _cell_route.
+    one bit per dimension-`dim` cell for color set `mask` on _cell_pass.
 
     The BFS runs from cell 0 in edge order, so the chosen edges do not
     depend on the orbit kernel's spanning forest.
     """
-    labels, relation, route_bits, _ = _cell_route(system, dim)
+    labels, count, relation, _ = _cell_pass(system, dim)
     a = _edge_flags(system)
     u, w = labels[a], labels[system.connections[dim][a]]
     gamma = _bits_in(relation[a], mask)
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(route_bits.size)]
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(count)]
     for x, y, g in zip(u.tolist(), w.tolist(), gamma.tolist()):
         adj[x].append((y, g))
         adj[y].append((x, g))
-    bit = [-1] * route_bits.size
+    bit = [-1] * count
     bit[0] = 0
     queue = deque([0])
     while queue:

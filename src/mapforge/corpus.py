@@ -3,8 +3,9 @@
 The verify harness generates a deterministic family of maps from a
 CorpusSpec, runs every requested check on every map, and reports
 pass/fail counts per check.  Checks are pure functions of a map plus a
-seeded generator, so independent (map, check) cells can be farmed out
-to worker processes; output order is fixed by cell index either way.
+seeded generator.  One task runs every check of one map, sharing its
+I-doubles, and tasks go to worker processes one map each; output order
+is fixed by cell index either way.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .coloring import (
     direct_pso,
     find_coloring,
     i_face_bipartite,
-    is_pseudo_orientable,
     is_valid_coloring,
     subgroup_closure,
 )
@@ -60,6 +60,7 @@ from .fileio import _write_text, parse_flag_text, read_flag_file, write_flag_tex
 from .flagsys import (
     FlagSystem,
     _has_odd_cell,
+    _orbits,
     cell_labels,
     check_projection,
     euler_characteristic,
@@ -298,14 +299,19 @@ def _check_pso_oracle(system, rng):
     for kind, (dim, inner, crossing, flip) in PSO_KINDS.items():
         # arrows exist exactly when these letters have a coloring
         colors = ColorSet.of(inner + (crossing,) * flip, 2)
-        want = find_coloring(system, colors) is not None
+        want = colors in group
         witness = direct_pso(system, kind)
         if (witness is not None) != want:
             return f"{kind}: arrows={'yes' if witness else 'no'} coloring={want}"
-        if is_pseudo_orientable(system, colors.complement()) != want:
-            return f"{kind}: is_pseudo_orientable disagrees with colorability"
-        if witness is not None and len(witness.arrows) != cell_labels(system, dim)[1]:
+        if witness is None:
+            continue
+        labels, count = cell_labels(system, dim)
+        if len(witness.arrows) != count:
             return f"{kind}: arrow count differs from cell count"
+        # each flag's side of its cell, from a pass of its own, turned by its cell's arrow
+        side = _orbits(system.flag_count, [(None, system.connections[j]) for j in inner], [1, 1])[1]
+        if not is_valid_coloring(system, colors, side ^ witness.arrows[labels]):
+            return f"{kind}: arrows and cell sides do not make a {colors}-coloring"
     return None
 
 
@@ -387,10 +393,24 @@ def _check_medial_table(system, rng):
     return None
 
 
+# inside _run_map: (id(system), mask) -> (system, double); holding it pins the id
+_doubles: dict | None = None
+
+
+def _double(system, member):
+    """i_double, built once per (system, color set) among one map's checks."""
+    if _doubles is None:
+        return i_double(system, member)
+    key = (id(system), member.mask)
+    if key not in _doubles:
+        _doubles[key] = system, i_double(system, member)
+    return _doubles[key][1]
+
+
 def _check_dubgp(system, rng):
     group = coloring_group(system)
     for member in _all_color_sets(system.rank):
-        grown = coloring_group(i_double(system, member).system)
+        grown = coloring_group(_double(system, member).system)
         want = subgroup_closure(system.rank, list(group.masks) + [member.mask])
         if grown.masks != want.masks:
             return f"double by {member}: group {grown} != closure {want}"
@@ -400,7 +420,7 @@ def _check_dubgp(system, rng):
 def _check_double_split(system, rng):
     group = coloring_group(system)
     for member in _all_color_sets(system.rank):
-        result = i_double(system, member)
+        result = _double(system, member)
         if result.split != (member in group):
             return f"split flag wrong for {member}"
         ok, _ = check_projection(result.system, system, result.projection)
@@ -418,8 +438,8 @@ def _check_shift(system, rng):
         return None
     shift_by = _pick(rng, nontrivial)
     member = _pick(rng, _all_color_sets(system.rank))
-    left = i_double(system, member).system
-    right = i_double(system, member ^ shift_by).system
+    left = _double(system, member).system
+    right = _double(system, member ^ shift_by).system
     if is_isomorphic(left, right) is None:
         return f"doubles by {member} and {member ^ shift_by} are not isomorphic"
     return None
@@ -428,7 +448,7 @@ def _check_shift(system, rng):
 def _check_saturation(system, rng):
     grown = system
     for i in range(system.rank, -1, -1):
-        grown = i_double(grown, ColorSet.of((i,), system.rank)).system
+        grown = _double(grown, ColorSet.of((i,), system.rank)).system
     if len(coloring_group(grown).masks) != 1 << (system.rank + 1):
         return "chain of singleton doubles did not reach the full power set"
     return None
@@ -440,9 +460,9 @@ def _check_minimality(system, rng):
     if not outside:
         return None
     member = _pick(rng, outside)
-    double = i_double(system, member)
+    double = _double(system, member)
     shift_by = _pick(rng, _all_color_sets(system.rank))
-    redouble = i_double(double.system, shift_by)
+    redouble = _double(double.system, shift_by)
     composite = double.projection[redouble.projection]
     witness = find_coloring(redouble.system, member)
     if witness is None:
@@ -462,7 +482,7 @@ def _check_recognition(system, rng):
     if not outside:
         return None
     member = _pick(rng, outside)
-    cover = i_double(system, member).system
+    cover = _double(system, member).system
     found = recognize_i_double(cover, member)
     if found is None:
         return f"failed to recognize the {member}-double"
@@ -553,17 +573,20 @@ PROPERTY_CHECKS = {
 # --- runner ----------------------------------------------------------
 
 
-def _run_cell(seed, index, system, check_id):
-    rng = np.random.default_rng((seed, index))
+def _run_map(seed, first_index, system, ids):
+    """Run every check of one map in order, sharing one memo of its doubles."""
+    global _doubles
+    _doubles, details = {}, []
     try:
-        return PROPERTY_CHECKS[check_id](system, rng)
-    except Exception as exc:  # one failing check must not abort the run
-        return f"{type(exc).__name__}: {exc}"
-
-
-def _cell_worker(args):
-    seed, index, system, check_id = args
-    return index, _run_cell(seed, index, system, check_id)
+        for index, check_id in enumerate(ids, first_index):
+            rng = np.random.default_rng((seed, index))
+            try:
+                details.append(PROPERTY_CHECKS[check_id](system, rng))
+            except Exception as exc:  # one failing check must not abort the run
+                details.append(f"{type(exc).__name__}: {exc}")
+    finally:
+        _doubles = None
+    return details
 
 
 def run_verify(spec: CorpusSpec, workers: int | None = None,
@@ -571,39 +594,33 @@ def run_verify(spec: CorpusSpec, workers: int | None = None,
     """Run the harness; emit report lines; return True iff all cells pass.
 
     Cells are laid out map-major: all checks for corpus map 0, then map 1,
-    and so on.  With workers > 1 the cells run in a process pool, but the
-    report is still emitted in cell-index order.
+    and so on.  Each map is one task (_run_map), which runs in a process
+    pool when workers > 1; the report is in cell-index order either way.
     """
     corpus = build_corpus(spec)
     ids = spec.check_ids()
-    cells_ = [(spec.seed, mi * len(ids) + ci, system, check_id)
-              for mi, (_, system) in enumerate(corpus)
-              for ci, check_id in enumerate(ids)]
-
+    tasks = ([spec.seed] * len(corpus), range(0, len(corpus) * len(ids), len(ids)),
+             [system for _, system in corpus], [ids] * len(corpus))
     if workers is not None and workers > 1:
-        details: list[str | None] = [None] * len(cells_)
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            for index, detail in pool.map(_cell_worker, cells_, chunksize=4):
-                details[index] = detail
+            rows = list(pool.map(_run_map, *tasks))
     else:
-        details = [_run_cell(*cell) for cell in cells_]
+        rows = list(map(_run_map, *tasks))
+    details = [detail for row in rows for detail in row]
 
-    failures = 0
     for index, detail in enumerate(details):
         if detail is None:
             continue
-        failures += 1
-        map_name = corpus[index // len(ids)][0]
-        check_id = ids[index % len(ids)]
+        (map_name, system), check_id = corpus[index // len(ids)], ids[index % len(ids)]
         emit(f"FAIL {check_id} [{map_name}]: {detail}")
         if dump_dir is not None:
             safe = re.sub(r"[^A-Za-z0-9_.-]+", "_", map_name)
             path = os.path.join(dump_dir, f"{index:04d}-{check_id}-{safe}.flags")
-            _write_text(path, write_flag_text(corpus[index // len(ids)][1]), mkdir=True)
+            _write_text(path, write_flag_text(system), mkdir=True)
             emit(f"  dumped {path}")
     for ci, check_id in enumerate(ids):
-        column = details[ci::len(ids)]
-        bad = sum(1 for d in column if d is not None)
-        emit(f"{check_id} pass={len(column) - bad} fail={bad}")
-    emit(f"maps={len(corpus)} cells={len(cells_)} failures={failures}")
+        bad = sum(d is not None for d in details[ci::len(ids)])
+        emit(f"{check_id} pass={len(corpus) - bad} fail={bad}")
+    failures = sum(d is not None for d in details)
+    emit(f"maps={len(corpus)} cells={len(details)} failures={failures}")
     return failures == 0

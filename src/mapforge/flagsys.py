@@ -74,7 +74,7 @@ class FlagSystem:
         return _letter_parity(self, [(None, c) for c in self.connections])
 
     _labels = cached_property(lambda self: {})  # omit -> cell_labels result
-    _routes = cached_property(lambda self: {})  # dim -> coloring._cell_route result
+    _routes = cached_property(lambda self: {})  # (dim, pass) -> coloring._cell_route passes
 
     def __reduce__(self):  # unpickling validates afresh, with empty caches
         return validate, (self.rank, self.flag_count, self.connections)

@@ -13,6 +13,7 @@ from mapforge import (
     cube_maniplex,
     direct_pso,
     i_face_bipartite,
+    invoke_generator,
     make_property,
     platonic,
     run_verify,
@@ -79,6 +80,28 @@ def test_pso_oracle_catches_a_broken_route(monkeypatch, mutant, system_name):
     assert _pso_oracle(_twin(system)) is not None
 
 
+@pytest.mark.parametrize("kind,name", [("full", "cube"), ("face", "octahedron"),
+                                       ("vertex", "cube"), ("edge", "polygon abAB")])
+def test_pso_oracle_catches_a_flipped_arrow(monkeypatch, kind, name):
+    """One flipped arrow keeps the arrow count and the existence of arrows,
+    but its cell's flags no longer make a coloring with their neighbours."""
+    system = invoke_generator(name)
+    assert _pso_oracle(system) is None
+    real = corpus.direct_pso
+
+    def flipped(system, wanted):
+        witness = real(system, wanted)
+        if wanted != kind:
+            return witness
+        arrows = witness.arrows.copy()
+        arrows[0] ^= 1
+        return coloring.ArrowAssignment(wanted, witness.cell_dimension, arrows)
+
+    monkeypatch.setattr(corpus, "direct_pso", flipped)
+    detail = _pso_oracle(system)
+    assert detail is not None and detail.startswith(f"{kind}: arrows and cell sides"), detail
+
+
 def test_route_makes_room_for_the_top_letter():
     """At rank 8 the masks of letters 0..7 fit a uint8 and 1 << 8 does not.
     Flags are the bit vectors of length 9, and r_j flips bit j."""
@@ -112,3 +135,5 @@ def test_route_users_never_read_the_parity_pass():
         fresh = _twin(system)
         make_property(fresh, goal)
         assert "_parity" not in vars(fresh), goal
+        # make_property reads pass one of the route only
+        assert all(p == 1 for _, p in vars(fresh).get("_routes", {})), goal

@@ -1,4 +1,8 @@
+import collections
+import gc
 import json
+import multiprocessing
+import weakref
 
 import numpy as np
 import pytest
@@ -199,3 +203,101 @@ def test_run_verify_reports_failures_and_dumps(tmp_path, monkeypatch):
     assert dumped[0].name == "0000-axioms-tetrahedron.flags"
     reloaded = invoke_generator(f"file {dumped[0]}")
     assert reloaded.flag_count == 24
+
+
+def test_run_verify_builds_each_double_once(monkeypatch):
+    """The cover checks of one map share each (system, color set) double."""
+    import mapforge.corpus as corpus
+
+    built, held = collections.Counter(), []
+    real = corpus.i_double
+
+    def counting(system, member):
+        held.append(system)  # no id is reused while the count runs
+        built[id(system), member.mask] += 1
+        return real(system, member)
+
+    monkeypatch.setattr(corpus, "i_double", counting)
+    assert run_verify(SMALL_SPEC, emit=lambda line: None)
+    assert built and max(built.values()) == 1
+    # outside run_verify every request is a fresh double
+    system = platonic("cube")
+    for check_id in ("dubgp", "double-split"):
+        PROPERTY_CHECKS[check_id](system, None)
+    assert built[id(system), 0] == 2
+
+
+def test_no_double_outlives_its_map(monkeypatch):
+    import mapforge.corpus as corpus
+
+    doubles = []
+    real = corpus.i_double
+
+    def watched(system, member):
+        result = real(system, member)
+        doubles.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(corpus, "i_double", watched)
+    assert run_verify(SMALL_SPEC, emit=lambda line: None)
+    gc.collect()
+    assert doubles and all(ref() is None for ref in doubles)
+    assert corpus._doubles is None
+
+    doubles.clear()
+    assert PROPERTY_CHECKS["dubgp"](platonic("cube"), None) is None
+    gc.collect()
+    assert len(doubles) == 8 and all(ref() is None for ref in doubles)
+
+
+def test_a_raising_check_fails_its_cell_and_the_map_goes_on(monkeypatch):
+    import mapforge.corpus as corpus
+
+    def raising(system, rng):
+        corpus._double(system, ColorSet.full(system.rank))  # leave a double behind
+        if system.flag_count == 24:
+            raise RuntimeError("synthetic")
+        return None
+
+    seen = []
+    recognition = PROPERTY_CHECKS["recognition"]
+
+    def watched(system, rng):
+        seen.append(system.flag_count)
+        return recognition(system, rng)
+
+    monkeypatch.setitem(PROPERTY_CHECKS, "double-split", raising)
+    monkeypatch.setitem(PROPERTY_CHECKS, "recognition", watched)
+    lines = []
+    assert not run_verify(SMALL_SPEC, emit=lines.append)
+    assert lines[0] == "FAIL double-split [tetrahedron]: RuntimeError: synthetic"
+    assert "double-split pass=7 fail=1" in lines
+    assert "recognition pass=8 fail=0" in lines and seen[0] == 24 and len(seen) == 8
+    assert lines[-1] == "maps=8 cells=144 failures=1"
+    assert corpus._doubles is None
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="only forked workers see a patched check registry")
+def test_workers_report_failures_and_dumps_like_serial(tmp_path, monkeypatch):
+    def broken(system, rng):
+        if system.flag_count == 8:
+            raise ValueError("synthetic error")
+        return "synthetic failure" if system.flag_count > 40 else None
+
+    monkeypatch.setitem(PROPERTY_CHECKS, "shift", broken)
+    reports = {}
+    for workers in (None, 2):
+        out = tmp_path / f"workers-{workers}"
+        lines = []
+        assert not run_verify(SMALL_SPEC, workers=workers, dump_dir=str(out),
+                              emit=lines.append)
+        reports[workers] = ([line.replace(str(out), "<dump>") for line in lines],
+                            {p.name: p.read_text() for p in out.iterdir()})
+    serial, parallel = reports[None], reports[2]
+    assert serial == parallel
+    lines, dumps = serial
+    assert "FAIL shift [polygon abAB]: ValueError: synthetic error" in lines
+    assert "shift pass=4 fail=4" in lines and lines[-1] == "maps=8 cells=144 failures=4"
+    assert sorted(dumps) == ["0047-shift-polygon_abAB.flags", "0083-shift-crosscap_2.flags",
+                             "0119-shift-grid_3_3_0.flags", "0137-shift-grid_3_3_0_1s.flags"]
