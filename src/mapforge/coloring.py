@@ -9,11 +9,12 @@ invariant computed here.
 The parity pass (FlagSystem._parity) runs the orbit kernel (flagsys._orbits)
 once with flip 1<<j on letter j: T(M) holds the color sets meeting every
 cycle mask it leaves evenly, and an I-coloring XORs the bits j in I of its
-potentials.  find_coloring and coloring_group read it.  The cell route
-(_cell_route, cached per dimension d) never does: it colors inside each
-d-cell, then relates the cells across r_d.  direct_pso, i_face_bipartite
-and construct._conflicts read it; pso-oracle compares its T(M) with
-coloring_group at every rank and d.  Both handle rank up to 63.
+potentials.  find_coloring and coloring_group read it, and the system
+keeps the group.  The cell route (_cell_route, cached per dimension d)
+never does: it colors inside each d-cell, then relates the cells across
+r_d.  direct_pso, i_face_bipartite and construct._conflicts read it;
+pso-oracle compares its T(M) with coloring_group at every rank and d.
+Both handle rank up to 63.
 """
 
 from __future__ import annotations
@@ -285,8 +286,9 @@ def _orthogonal_group(rank: int, cycles) -> ColoringGroup:
 
 
 def coloring_group(system: FlagSystem) -> ColoringGroup:
-    """All color sets admitting a coloring; verified to be a subgroup."""
-    return _orthogonal_group(system.rank, system._parity[1])
+    """All color sets admitting a coloring; verified to be a subgroup once
+    per system, which then keeps it (FlagSystem._group)."""
+    return system._group
 
 
 def coloring_group_excluding_cell(system: FlagSystem, face: Cell) -> ColoringGroup:

@@ -2,6 +2,9 @@
 
 The generators turn compact descriptions (rotation systems, polygon
 gluing words, grid and strip parameters) into validated flag systems.
+Every rank-2 generator writes its connections through one whole-array
+builder, _polygons: polygons whose sides are glued in pairs.  A rotation
+system is the same description read dually, one polygon per vertex.
 The surgeries insert degree-2 vertices or parallel edges without
 leaving the surface, and build_map_with_group composes them to realize
 any admissible coloring group on any admissible surface.
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, permutations
 
 import numpy as np
 
@@ -138,40 +141,49 @@ class RotationSystem:
         return 2 * len(self.edge_pairs)
 
 
+def _polygons(nxt, pairs) -> list[np.ndarray]:
+    """[r0, r1, r2] of polygons whose sides are glued in pairs.
+
+    Side s carries flags 2s at its start and 2s+1 at its end: r0 swaps
+    the two, and r1 joins the end of side s to the start of side nxt[s],
+    the next side around its polygon.  Each row (p, q, same) of `pairs`
+    glues two sides by r2, start to start and end to end when same is
+    true, start to end otherwise.  A side that no pair covers keeps
+    r2 = -1, which validate refuses with OutOfRange.
+    """
+    nxt = np.asarray(nxt, dtype=np.intp).ravel()
+    p, q, same = np.asarray(pairs, dtype=np.intp).reshape(-1, 3).T
+    ids = np.arange(2 * nxt.size, dtype=np.intp)
+    r1 = np.empty_like(ids)
+    r1[1::2] = 2 * nxt
+    r1[2 * nxt] = ids[1::2]
+    a, b = 2 * p, 2 * q + 1 - same
+    r2 = np.full_like(ids, -1)
+    r2[np.concatenate([a, b, a + 1, b ^ 1])] = np.concatenate([b, a, b ^ 1, a + 1])
+    return [ids ^ 1, r1, r2]
+
+
 def from_rotation_system(rs: RotationSystem) -> FlagSystem:
     """Expand a rotation system into flags; two flags per dart.
 
     Flag 2d+s is dart d seen from its side s.  Connection 2 swaps the
     two sides, connection 1 steps to the rotationally adjacent dart,
     and connection 0 crosses the edge, matching sides according to the
-    edge sign.  All-positive signs give an orientable result.
+    edge sign.  All-positive signs give an orientable result.  These
+    are _polygons read dually: each vertex is a polygon whose sides are
+    its darts in reverse rotation order, and an edge of sign -1 glues
+    its two darts start to start.
     """
-    n = 2 * rs.dart_count
-    r0 = np.empty(n, dtype=np.intp)
-    r1 = np.empty(n, dtype=np.intp)
-    r2 = np.empty(n, dtype=np.intp)
-    for rot in rs.rotations:
-        k = len(rot)
-        for idx, d in enumerate(rot):
-            nxt = rot[(idx + 1) % k]
-            prv = rot[(idx - 1) % k]
-            r1[2 * d] = 2 * nxt + 1
-            r1[2 * d + 1] = 2 * prv
-    for a, b, s in rs.edge_pairs:
-        if s > 0:
-            r0[2 * a] = 2 * b + 1
-            r0[2 * a + 1] = 2 * b
-            r0[2 * b] = 2 * a + 1
-            r0[2 * b + 1] = 2 * a
-        else:
-            r0[2 * a] = 2 * b
-            r0[2 * a + 1] = 2 * b + 1
-            r0[2 * b] = 2 * a
-            r0[2 * b + 1] = 2 * a + 1
-    ids = np.arange(rs.dart_count, dtype=np.intp)
-    r2[2 * ids] = 2 * ids + 1
-    r2[2 * ids + 1] = 2 * ids
-    return validate(2, n, (r0, r1, r2))
+    darts = np.fromiter(chain.from_iterable(rs.rotations), dtype=np.intp, count=rs.dart_count)
+    sizes = np.fromiter(map(len, rs.rotations), dtype=np.intp, count=rs.vertex_count)
+    # the dart before each one in its rotation, wrapping at the rotation's start
+    starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    at = np.arange(darts.size)
+    prv = np.empty_like(darts)
+    prv[darts] = darts[starts + (at - starts - 1) % np.repeat(sizes, sizes)]
+    pairs = np.array(rs.edge_pairs, dtype=np.intp).reshape(-1, 3)
+    pairs[:, 2] = pairs[:, 2] < 0
+    return validate(2, 2 * rs.dart_count, _polygons(prv, pairs)[::-1])
 
 
 def _rotation_from_neighbors(neighbors) -> RotationSystem:
@@ -232,23 +244,13 @@ def tri_torus(m: int, n: int) -> FlagSystem:
     if m < 1 or n < 1:
         raise BadParameters(f"grid dimensions must be positive, got {m}x{n}")
     _check_flags(12 * m * n, f"tri-torus {m} {n}")
-    dirs = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
-
-    def dart(i, j, t):
-        return 6 * ((i % m) * n + (j % n)) + t
-
-    rotations = tuple(
-        tuple(dart(i, j, t) for t in range(6))
-        for i in range(m)
-        for j in range(n)
-    )
-    pairs = []
-    for i in range(m):
-        for j in range(n):
-            for t in range(3):
-                di, dj = dirs[t]
-                pairs.append((dart(i, j, t), dart(i + di, j + dj, t + 3), 1))
-    return from_rotation_system(RotationSystem(rotations=rotations, edge_pairs=tuple(pairs)))
+    # dart 6v+t leaves vertex v = (i, j) in direction t of (1, 0), (1, 1),
+    # (0, 1) and their opposites; dart t < 3 meets dart t+3 of the neighbor
+    darts = np.arange(6 * m * n, dtype=np.intp).reshape(m, n, 6)
+    ends = np.stack([np.roll(darts[..., t + 3], (-di, -dj), axis=(0, 1))
+                     for t, (di, dj) in enumerate(((1, 0), (1, 1), (0, 1)))], axis=-1)
+    pairs = np.stack([darts[..., :3], ends, np.zeros_like(ends)], axis=-1)
+    return validate(2, 12 * m * n, _polygons(np.roll(darts, 1, axis=2), pairs)[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -307,25 +309,10 @@ def polygon_gluing(word) -> FlagSystem:
 
 
 def _glued_polygon(pairs) -> FlagSystem:
-    """polygon_gluing from side pairs (p, q, same_case) covering every side."""
+    """polygon_gluing from side pairs (p, q, same_case) covering every side:
+    _polygons with the single polygon's sides 0..L-1 in order."""
     L = 2 * len(pairs)
-    n = 2 * L
-    r0 = np.empty(n, dtype=np.intp)
-    r1 = np.empty(n, dtype=np.intp)
-    r2 = np.empty(n, dtype=np.intp)
-    for i in range(L):
-        r0[2 * i] = 2 * i + 1
-        r0[2 * i + 1] = 2 * i
-        r1[2 * i] = 2 * ((i - 1) % L) + 1
-        r1[2 * i + 1] = 2 * ((i + 1) % L)
-    for p, q, same in pairs:
-        if same:
-            r2[2 * p], r2[2 * q] = 2 * q, 2 * p
-            r2[2 * p + 1], r2[2 * q + 1] = 2 * q + 1, 2 * p + 1
-        else:
-            r2[2 * p], r2[2 * q + 1] = 2 * q + 1, 2 * p
-            r2[2 * p + 1], r2[2 * q] = 2 * q, 2 * p + 1
-    return validate(2, n, (r0, r1, r2))
+    return validate(2, 2 * L, _polygons((np.arange(L) + 1) % L, pairs))
 
 
 def _crosscap_pairs(start: int, count: int) -> list[tuple[int, int, bool]]:
@@ -376,38 +363,23 @@ def strip_map(h: int, swaps, parity: int) -> FlagSystem:
 def _square_complex(square_count: int, gluings) -> FlagSystem:
     """Build a map from squares with glued sides.
 
-    Square s has corners 0..3 counterclockwise and sides numbered by
-    their starting corner; flag 8s+2c+sigma sits at corner c on side c
-    (sigma = 0) or side c-1 (sigma = 1).  Each gluing joins two sides,
-    plainly when flip = 0 (opposite traversal, as for neighbors in the
-    plane) and with a twist when flip = 1.
+    Square s has corners 0..3 counterclockwise and sides 4s+c numbered
+    by their starting corner c; flag 8s+2c+sigma sits at corner c on
+    side c (sigma = 0) or side c-1 (sigma = 1).  Each row (side, side,
+    flip) of `gluings` joins two sides, plainly when flip = 0 (opposite
+    traversal, as for neighbors in the plane) and with a twist when
+    flip = 1.  _polygons writes the connections, and its end flag
+    8s+2c+1 of side c then moves to 8s+2(c+1)+1, at the corner c+1
+    where that end sits.
     """
-    n = 8 * square_count
-    r0 = np.empty(n, dtype=np.intp)
-    r1 = np.empty(n, dtype=np.intp)
-    r2 = np.full(n, -1, dtype=np.intp)
-
-    def corner(s, c, sigma):
-        return 8 * s + 2 * (c % 4) + sigma
-
-    for s in range(square_count):
-        for c in range(4):
-            r1[corner(s, c, 0)] = corner(s, c, 1)
-            r1[corner(s, c, 1)] = corner(s, c, 0)
-            r0[corner(s, c, 0)] = corner(s, c + 1, 1)
-            r0[corner(s, c + 1, 1)] = corner(s, c, 0)
-    for (s, k), (s2, k2), flip in gluings:
-        a0, a1 = corner(s, k, 0), corner(s, k + 1, 1)
-        b0, b1 = corner(s2, k2, 0), corner(s2, k2 + 1, 1)
-        if flip:
-            r2[a0], r2[b0] = b0, a0
-            r2[a1], r2[b1] = b1, a1
-        else:
-            r2[a0], r2[b1] = b1, a0
-            r2[a1], r2[b0] = b0, a1
-    if (r2 < 0).any():
-        raise BadParameters("some square side was never glued")
-    return validate(2, n, (r0, r1, r2))
+    sides = np.arange(4 * square_count)
+    conns = _polygons((sides & ~3) | ((sides + 1) & 3), gluings)
+    ids = np.arange(8 * square_count)
+    # move[-1] = -1 keeps the r2 of an unglued side out of range
+    move = np.append((ids & ~7) | ((ids + 2 * (ids & 1)) & 7), -1)
+    out = np.empty((3, ids.size), dtype=np.intp)
+    out[:, move[:-1]] = move[conns]
+    return validate(2, ids.size, out)
 
 
 def grid_map(m: int, n: int, k: int) -> FlagSystem:
@@ -424,20 +396,16 @@ def grid_map(m: int, n: int, k: int) -> FlagSystem:
     if not 0 <= k <= n:
         raise BadParameters(f"twist count {k} out of range 0..{n}")
     _check_flags(8 * m * n, f"grid {m} {n} {k}")
-
-    def sq(i, j):
-        return j * m + i
-
-    gluings = []
-    for j in range(n):
-        for i in range(m - 1):
-            gluings.append(((sq(i, j), 1), (sq(i + 1, j), 3), 0))
-    for j in range(n):
-        for i in range(m):
-            gluings.append(((sq(i, j), 2), (sq(i, (j + 1) % n), 0), 0))
-    for j in range(n):
-        gluings.append(((sq(0, j), 3), (sq(m - 1, n - 1 - j), 1), 0 if j < k else 1))
-    return _square_complex(m * n, gluings)
+    sq = 4 * np.arange(m * n).reshape(n, m)  # sq[j, i]: side 0 of the square in column i, row j
+    gluings = [
+        np.stack(np.broadcast_arrays(a, b, flip), axis=-1).reshape(-1, 3)
+        for a, b, flip in (
+            (sq[:, :-1] + 1, sq[:, 1:] + 3, 0),  # each square to its right neighbor
+            (sq + 2, np.roll(sq, -1, axis=0), 0),  # to the row above, wrapping
+            (sq[:, 0] + 3, sq[::-1, -1] + 1, np.arange(n) >= k),  # the seams
+        )
+    ]
+    return _square_complex(m * n, np.concatenate(gluings))
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,10 @@ for every node the smallest node of its orbit plus its bitmask
 potential relative to that node.  It hooks roots onto smaller
 neighbouring roots and pointer-jumps (Shiloach-Vishkin), so a handful of
 whole-array passes replace one Python step per flag.  A system is
-immutable, so it caches one parity pass (FlagSystem._parity) and, per
-cell dimension, one label pass (cell_labels) and one cell route
-(coloring._cell_route); pso-oracle compares the two routes at every rank.
+immutable, so it caches one parity pass (FlagSystem._parity), the
+coloring group read off it (FlagSystem._group) and, per cell dimension,
+one label pass (cell_labels) and one cell route (coloring._cell_route);
+pso-oracle compares the two routes at every rank.
 """
 
 from __future__ import annotations
@@ -72,6 +73,12 @@ class FlagSystem:
     def _parity(self) -> tuple[np.ndarray, list[int]]:
         """(pot, cycle basis) of one parity pass over every connection."""
         return _letter_parity(self, [(None, c) for c in self.connections])
+
+    @cached_property
+    def _group(self):
+        """coloring.coloring_group's result, derived once from _parity."""
+        from .coloring import _orthogonal_group
+        return _orthogonal_group(self.rank, self._parity[1])
 
     _labels = cached_property(lambda self: {})  # omit -> cell_labels result
     _routes = cached_property(lambda self: {})  # (dim, pass) -> coloring._cell_route passes

@@ -121,19 +121,19 @@ def test_verify_passes_at_ranks_3_and_4():
 
 def test_route_users_never_read_the_parity_pass():
     """direct_pso, i_face_bipartite and make_property stay a second route
-    to find_coloring and coloring_group."""
+    to find_coloring and coloring_group, and read neither's cache."""
     system = platonic("cube")
     for kind in coloring.PSO_KINDS:
         fresh = _twin(system)
         direct_pso(fresh, kind)
-        assert "_parity" not in vars(fresh), kind
+        assert not {"_parity", "_group"} & vars(fresh).keys(), kind
     for i in range(3):
         fresh = _twin(system)
         i_face_bipartite(fresh, i)
-        assert "_parity" not in vars(fresh), i
+        assert not {"_parity", "_group"} & vars(fresh).keys(), i
     for goal in MAKE_GOALS:
         fresh = _twin(system)
         make_property(fresh, goal)
-        assert "_parity" not in vars(fresh), goal
+        assert not {"_parity", "_group"} & vars(fresh).keys(), goal
         # make_property reads pass one of the route only
         assert all(p == 1 for _, p in vars(fresh).get("_routes", {})), goal

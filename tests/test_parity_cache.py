@@ -66,6 +66,12 @@ def test_cell_labels_are_read_only():
     assert cell_labels(system, 0)[0] is labels
 
 
+def test_coloring_group_is_derived_once():
+    """The group is kept beside the parity pass, not re-derived per call."""
+    system = _twin(platonic("cube"))
+    assert coloring_group(system) is coloring_group(system)
+
+
 @pytest.mark.parametrize("name,system", CORPUS[::9], ids=lambda v: v if isinstance(v, str) else "")
 def test_pickled_system_keeps_its_answers(name, system):
     """--workers sends systems to other processes by pickle."""
