@@ -6,17 +6,24 @@ info -``).  Reports are ``key=value`` lines unless ``--json`` is given.
 Exit codes: 0 success, 1 property or precondition failure, 2 malformed
 input: a flag file or stdin that is not UTF-8 or fails to parse or
 validate; a ``quotient --u-file`` that cannot be read or is not UTF-8;
+a ``quotient`` given both or neither of ``--u`` and ``--u-file``;
 a ``verify`` spec that cannot be read or holds bad JSON, an unknown
 field or an unknown generator; a seed (spec, ``MAPFORGE_SEED`` or
 ``--seed``) or depth that is not a non-negative integer; an unknown
 ``--operations`` id; a ``--workers`` count below 1; an output path
 (``-o``, ``--sidecar``, ``verify --dump``) that cannot be written.
+
+``main(argv)`` may be called repeatedly in one process: the first call
+builds the parser and later calls reuse it.  Verbs look up their library
+functions in this module at call time, so rebinding one here (a tracer,
+a test spy) takes effect on the next call.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -25,19 +32,8 @@ import numpy as np
 
 from .coloring import PSO_KINDS, ColorSet, ColoringGroup, coloring_group, direct_pso, find_coloring
 from .construct import (
-    build_map_with_group,
-    connected_sum,
-    double_edge,
-    edge_of,
-    subdivide_edge,
-    triple_edge,
-)
-from .corpus import (
-    CorpusSpec,
-    PROPERTY_CHECKS,
-    invoke_generator,
-    run_verify,
-)
+    build_map_with_group, connected_sum, double_edge, edge_of, subdivide_edge, triple_edge)
+from .corpus import CorpusSpec, invoke_generator, run_verify
 from .doubles import i_double, quotient, recognize_i_double, sherk_double
 from .errors import (
     BadParameters,
@@ -172,11 +168,10 @@ def cmd_pso(args) -> int:
     return 0
 
 
-def _transform(op):
-    def cmd(args) -> int:
-        _write_system(op(_read_system(args.file)), args.output)
-        return 0
-    return cmd
+def cmd_transform(args) -> int:
+    op = {"dual": dual, "petrie": petrie, "opp": opposite, "medial": medial}[args.verb]
+    _write_system(op(_read_system(args.file)), args.output)
+    return 0
 
 
 def cmd_double(args) -> int:
@@ -221,10 +216,8 @@ def cmd_quotient(args) -> int:
     system = _read_system(args.file)
     if args.u is not None:
         tokens = args.u.replace(",", " ").split()
-    elif args.u_file is not None:
-        tokens = _read_text(args.u_file).split()
     else:
-        raise BadParameters("quotient needs --u or --u-file")
+        tokens = _read_text(args.u_file).split()
     try:
         deck = [int(t) for t in tokens]
     except ValueError:
@@ -246,12 +239,12 @@ def cmd_sum(args) -> int:
     return 0
 
 
-def _surgery(op):
-    def cmd(args) -> int:
-        system = _read_system(args.file)
-        _write_system(op(system, edge_of(system, args.edge)), args.output)
-        return 0
-    return cmd
+def cmd_surgery(args) -> int:
+    op = {"subdivide": subdivide_edge, "double-edge": double_edge,
+          "triple-edge": triple_edge}[args.verb]
+    system = _read_system(args.file)
+    _write_system(op(system, edge_of(system, args.edge)), args.output)
+    return 0
 
 
 def cmd_gen(args) -> int:
@@ -335,6 +328,7 @@ def _add_sidecar(sub):
                      help="write the sidecar report to this file instead of stderr")
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mapforge",
@@ -369,11 +363,10 @@ def _parser() -> argparse.ArgumentParser:
     _add_json(sub)
     sub.set_defaults(func=cmd_pso)
 
-    for name, op in (("dual", dual), ("petrie", petrie),
-                     ("opp", opposite), ("medial", medial)):
+    for name in ("dual", "petrie", "opp", "medial"):
         sub = verbs.add_parser(name, help=f"apply the {name} operator")
         _add_io(sub)
-        sub.set_defaults(func=_transform(op))
+        sub.set_defaults(func=cmd_transform)
 
     sub = verbs.add_parser("double", help="two-sheet cover flipping across I")
     _add_io(sub)
@@ -395,10 +388,11 @@ def _parser() -> argparse.ArgumentParser:
 
     sub = verbs.add_parser("quotient", help="quotient by a deck involution")
     _add_io(sub)
-    sub.add_argument("--u", default=None,
-                     help="deck permutation as whitespace/comma separated flags")
-    sub.add_argument("--u-file", default=None,
-                     help="file holding the deck permutation")
+    deck = sub.add_mutually_exclusive_group(required=True)
+    deck.add_argument("--u", default=None,
+                      help="deck permutation as whitespace/comma separated flags")
+    deck.add_argument("--u-file", default=None,
+                      help="file holding the deck permutation")
     _add_sidecar(sub)
     sub.set_defaults(func=cmd_quotient)
 
@@ -410,14 +404,12 @@ def _parser() -> argparse.ArgumentParser:
     sub.add_argument("-o", "--output", default="-")
     sub.set_defaults(func=cmd_sum)
 
-    for name, op in (("subdivide", subdivide_edge),
-                     ("double-edge", double_edge),
-                     ("triple-edge", triple_edge)):
+    for name in ("subdivide", "double-edge", "triple-edge"):
         sub = verbs.add_parser(name, help=f"{name.replace('-', ' ')} surgery")
         _add_io(sub)
         sub.add_argument("--edge", type=int, required=True,
                          help="any flag on the target edge")
-        sub.set_defaults(func=_surgery(op))
+        sub.set_defaults(func=cmd_surgery)
 
     sub = verbs.add_parser("gen", help="generate a named map")
     sub.add_argument("name")

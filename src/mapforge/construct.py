@@ -242,7 +242,7 @@ def tri_torus(m: int, n: int) -> FlagSystem:
     contains triangles, so it is never vertex-bipartite.
     """
     if m < 1 or n < 1:
-        raise BadParameters(f"grid dimensions must be positive, got {m}x{n}")
+        raise BadParameters(f"tri-torus dimensions must be positive, got {m}x{n}")
     _check_flags(12 * m * n, f"tri-torus {m} {n}")
     # dart 6v+t leaves vertex v = (i, j) in direction t of (1, 0), (1, 1),
     # (0, 1) and their opposites; dart t < 3 meets dart t+3 of the neighbor

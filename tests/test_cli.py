@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import io
 import json
@@ -361,16 +362,34 @@ def test_quotient_u_file(run, tmp_path, tetra_file):
     assert code == 0
 
 
-def test_quotient_needs_deck(run, cube_file):
-    code, _, err = run("quotient", cube_file)
-    assert code == 1
-    assert "error:" in err
+def _usage_error(capsys, argv):
+    """Run ``main(argv)``, expecting argparse's exit 2; return its stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    return err
+
+
+def test_quotient_needs_deck(run, capsys, cube_file):
+    err = _usage_error(capsys, ["quotient", cube_file])
+    assert err.startswith("usage: mapforge quotient")
+    assert "one of the arguments --u --u-file is required" in err
 
     code, _, err = run("quotient", cube_file, "--u", "0 1 2")
     assert code == 1
 
     code, _, err = run("quotient", cube_file, "--u", "zero one")
     assert code == 1
+
+
+@pytest.mark.parametrize("deck", [["--u-file", "/nonexistent", "--u", "1"],
+                                  ["--u", "1", "--u-file", "/nonexistent"]])
+def test_quotient_takes_one_deck_source(capsys, cube_file, deck):
+    err = _usage_error(capsys, ["quotient", cube_file, *deck])
+    assert err.startswith("usage: mapforge quotient")
+    assert "not allowed with argument" in err
 
 
 @pytest.mark.parametrize("entry", ["999", "-1", "1000000000000000000000000000000"])
@@ -436,6 +455,13 @@ def test_edge_surgeries_refuse_other_ranks(run, tmp_path, verb, rank):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and "rank-2" in err
+
+
+def test_tri_torus_names_itself_in_its_error(run):
+    code, out, err = run("gen", "tri-torus", "1", "0")
+    assert code == 1
+    assert out == ""
+    assert err == "error: tri-torus dimensions must be positive, got 1x0\n"
 
 
 def test_gen_unknown_name(run):
@@ -675,3 +701,90 @@ def test_console_script_entry_point():
         target = tomllib.load(fh)["project"]["scripts"]["mapforge"]
     module, _, attr = target.partition(":")
     assert getattr(importlib.import_module(module), attr) is main
+
+
+# --- one parser per process ------------------------------------------
+
+VERBS = ("validate", "info", "color", "tgroup", "pso", "dual", "petrie", "opp",
+         "medial", "double", "sherk", "recognize-double", "quotient", "sum",
+         "subdivide", "double-edge", "triple-edge", "gen", "build-group", "iso",
+         "verify")
+
+
+def test_importing_builds_no_parser():
+    probe = "import mapforge, mapforge.cli as cli; print(cli._parser.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "0\n"
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys, cube_file):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "mapforge":  # the verbs' subparsers are "mapforge <verb>"
+            built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            for verb in ("validate", "info", "tgroup", "dual", "petrie"):
+                assert main([verb, cube_file]) == 0
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+    assert len(built) == 1
+
+
+def test_options_do_not_leak_into_the_next_call(run, cube_file, tmp_path):
+    code, out, _ = run("info", cube_file, "--json")
+    assert code == 0 and json.loads(out)["flags"] == 48
+    code, out, _ = run("info", cube_file)
+    assert code == 0 and out.startswith("rank=2\nflags=48\n")
+
+    cover, sidecar = tmp_path / "cover.flags", tmp_path / "side.txt"
+    code, out, err = run("double", cube_file, "-I", "1",
+                         "-o", str(cover), "--sidecar", str(sidecar))
+    assert (code, out, err) == (0, "", "")
+    code, out, err = run("double", cube_file, "-I", "1")
+    assert code == 0
+    assert out == cover.read_text()
+    assert err == sidecar.read_text()
+
+
+@pytest.mark.parametrize("verb, name, extra", [
+    ("dual", "dual", ()), ("petrie", "petrie", ()), ("opp", "opposite", ()),
+    ("medial", "medial", ()), ("subdivide", "subdivide_edge", ("--edge", "0")),
+    ("double-edge", "double_edge", ("--edge", "0")),
+    ("triple-edge", "triple_edge", ("--edge", "0")),
+])
+def test_verbs_call_what_the_module_binds_now(run, monkeypatch, cube_file, verb, name, extra):
+    first = run(verb, cube_file, *extra)  # builds the parser before the spy goes in
+    assert first[0] == 0
+    real, calls = getattr(cli, name), []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, name, spy)
+    assert run(verb, cube_file, *extra) == first
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("verb", (None,) + VERBS)
+def test_help_is_the_same_on_every_call(capsys, verb):
+    argv = ["--help"] if verb is None else [verb, "--help"]
+    cli._parser.cache_clear()
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    assert texts[0].startswith("usage: mapforge" + ("" if verb is None else f" {verb} "))
+    if verb is None:
+        assert "{" + ",".join(VERBS) + "}" in texts[0]
