@@ -21,8 +21,9 @@ potential relative to that node.  It hooks roots onto smaller
 neighbouring roots and pointer-jumps (Shiloach-Vishkin), so a handful of
 whole-array passes replace one Python step per flag.  A system is
 immutable, so it caches one parity pass (FlagSystem._parity), the
-coloring group read off it (FlagSystem._group) and, per cell dimension,
-one label pass (cell_labels) and one cell route (coloring._cell_route);
+coloring group read off it (FlagSystem._group), the transport plan of
+the isomorphism search (FlagSystem._plan) and, per cell dimension, one
+label pass (cell_labels) and one cell route (coloring._cell_route);
 pso-oracle compares the two routes at every rank.
 """
 
@@ -82,6 +83,7 @@ class FlagSystem:
 
     _labels = cached_property(lambda self: {})  # omit -> cell_labels result
     _routes = cached_property(lambda self: {})  # (dim, pass) -> coloring._cell_route passes
+    _plan = cached_property(lambda self: _transport_plan(self))  # the isomorphism search's BFS
 
     def __reduce__(self):  # unpickling validates afresh, with empty caches
         return validate, (self.rank, self.flag_count, self.connections)
@@ -369,12 +371,12 @@ def apply_word(system: FlagSystem, flag: int, word) -> int:
 def _transport_plan(system: FlagSystem):
     """Level-synchronous BFS of the flag graph from flag 0.
 
-    Returns (groups, checks).  groups lists (flags, parents, letter), one
-    per BFS level and letter in discovery order: flags = parents . r_letter
-    are newly reached.  A connection is a permutation, so the flags of one
-    group are distinct.  checks lists (letter, flags) for every letter:
-    each edge {f, f . r_letter} outside the spanning tree appears once,
-    as its smaller flag f.
+    Returns (groups, checks), tuples of read-only arrays.  groups lists
+    (flags, parents, letter), one per BFS level and letter in discovery
+    order: flags = parents . r_letter are newly reached.  A connection is
+    a permutation, so the flags of one group are distinct.  checks lists
+    (letter, flags) for every letter: each edge {f, f . r_letter} outside
+    the spanning tree appears once, as its smaller flag f.
     """
     n = system.flag_count
     ids = np.arange(n, dtype=np.intp)
@@ -393,14 +395,14 @@ def _transport_plan(system: FlagSystem):
             if flags.size:
                 seen[flags] = True
                 tree[letter, flags] = True
-                groups.append((flags, frontier[new], letter))
+                groups.append((_freeze(flags), _freeze(frontier[new]), letter))
                 reached.append(flags)
         frontier = np.concatenate(reached) if reached else ids[:0]
-    checks = [
-        (letter, np.flatnonzero((conn > ids) & ~tree[letter] & ~tree[letter][conn]))
+    checks = tuple(
+        (letter, _freeze(np.flatnonzero((conn > ids) & ~tree[letter] & ~tree[letter][conn])))
         for letter, conn in enumerate(system.connections)
-    ]
-    return groups, checks
+    )
+    return tuple(groups), checks
 
 
 _CHUNK = 4_000_000
@@ -413,27 +415,30 @@ def _isomorphisms(source: FlagSystem, target: FlagSystem, images=None):
 
     `images` lists the candidate images of source flag 0 in ascending
     order (default: every target flag).  A block of candidates is
-    transported along the BFS tree of _transport_plan, one 2-D gather per
-    group into a flags-major table; a column then fixes every flag.  Tree
-    edges hold by construction in both directions, since connections are
-    involutions, so a column is an isomorphism exactly when every listed
-    non-tree edge commutes.  The image of flag 0 fixes the rest, so each
-    isomorphism appears once.  Blocks start at _FIRST_BLOCK columns and
-    double up to about _CHUNK table entries.  Both systems must have the
-    same rank and flag count.
+    transported along the BFS tree of the source's cached _transport_plan
+    (FlagSystem._plan), one 2-D gather per group into a flags-major table;
+    a column then fixes every flag.  Tree edges hold by construction in
+    both directions, since connections are involutions, so a column is an
+    isomorphism exactly when every listed non-tree edge commutes.  The
+    image of flag 0 fixes the rest, so each isomorphism appears once.
+    The first block is a probe of one column, images[0]: on a symmetric
+    map it is already a hit, and it costs one column of N flags.  The
+    next block has _FIRST_BLOCK columns, and blocks then double up to
+    about _CHUNK table entries.  Both systems must have the same rank and
+    flag count.
     """
-    groups, checks = _transport_plan(source)
+    groups, checks = source._plan
     n = source.flag_count
     tconns = target.connections
     if images is None:
         images = np.arange(n, dtype=np.intp)
     cap = max(1, _CHUNK // n)
-    width = min(_FIRST_BLOCK, cap)
+    width = 1
     start = 0
     while start < len(images):
         block = images[start:start + width]
         start += block.size
-        width = min(2 * width, cap)
+        width = min(_FIRST_BLOCK if start == 1 else 2 * width, cap)
         table = np.empty((n, block.size), dtype=np.intp)
         table[0] = block
         for flags, parents, letter in groups:

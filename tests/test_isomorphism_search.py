@@ -7,6 +7,7 @@ I-double of it, a seeded relabeling of each, and a relabeled
 grid 2 600 0, whose BFS from flag 0 is a thousand levels deep.
 """
 
+import pickle
 from collections import deque
 
 import numpy as np
@@ -160,7 +161,7 @@ def test_search_block_size_does_not_change_results(monkeypatch, chunk):
     pairs = [(s, t) for s in SMALL for t in SMALL] + [(s, _reversed(s)) for s in WIDE]
     want_decks = [ref.deck_transformations(s) for s in systems]
     want_isos = [ref.is_isomorphic(s, t) for s, t in pairs]
-    # a 592-flag hit passes the boundaries at 64, 192 and 448 columns
+    # a 592-flag hit passes the boundaries at 1, 65, 193 and 449 columns
     assert max(int(w[0]) for w in want_isos if w is not None) > 448
     monkeypatch.setattr(flagsys, "_CHUNK", chunk)
     for system, want in zip(systems, want_decks):
@@ -247,6 +248,84 @@ def test_maps_sharing_every_invariant(tmp_path, capsys, first, second, isomorphi
         out = capsys.readouterr().out
         assert code == (0 if isomorphic else 1)
         assert out.splitlines()[0] == f"isomorphic={str(isomorphic).lower()}"
+
+
+class _TableSpy:
+    """numpy as flagsys sees it, recording the shape of every np.empty."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, shape, dtype=float):
+        self.shapes.append(shape)
+        return np.empty(shape, dtype=dtype)
+
+
+def _tables(monkeypatch, search):
+    """The shapes of the transport tables `search()` allocates."""
+    spy = _TableSpy()
+    monkeypatch.setattr(flagsys, "np", spy)
+    search()
+    monkeypatch.undo()
+    return spy.shapes
+
+
+def test_first_candidate_is_probed_alone(monkeypatch):
+    """A hit at the first candidate transports one column and nothing else."""
+    torus = tri_torus(30, 30)
+    other = _relabeled(torus, 3)
+    n = torus.flag_count
+    assert _tables(monkeypatch, lambda: is_isomorphic(torus, other)) == [(n, 1)]
+
+    cube = invoke_generator("cube")
+    other = _relabeled(cube, 4)
+    assert _tables(monkeypatch, lambda: is_isomorphic(cube, other)) == [(48, 1)]
+    # the probe, then _FIRST_BLOCK columns capped by the 47 images left
+    assert _tables(monkeypatch, lambda: deck_transformations(cube)) == [(48, 1), (48, 47)]
+
+    cover = i_double(tri_torus(14, 14), ColorSet.of([0], 2)).system
+    shapes = _tables(monkeypatch, lambda: recognize_i_double(cover, ColorSet.of([0], 2)))
+    assert shapes == [(cover.flag_count, 1)]
+
+
+def test_transport_plan_is_built_once_per_system(monkeypatch):
+    built = []
+
+    def spy(system):
+        built.append(system)
+        return _transport_plan(system)
+
+    monkeypatch.setattr(flagsys, "_transport_plan", spy)
+    cover = i_double(tri_torus(3, 4), ColorSet.of([0], 2)).system
+    other = _relabeled(cover, 8)
+    assert recognize_i_double(cover, ColorSet.of([0], 2)) is not None
+    assert len(deck_transformations(cover)) > 1
+    assert is_isomorphic(cover, other) is not None
+    assert is_isomorphic(other, cover) is not None
+    assert deck_transformations(other)
+    assert [id(s) for s in built] == [id(cover), id(other)]
+
+
+def _plan_lists(plan):
+    groups, checks = plan
+    return ([(letter, flags.tolist(), parents.tolist()) for flags, parents, letter in groups],
+            [(letter, flags.tolist()) for letter, flags in checks])
+
+
+def test_cached_plan_is_read_only_and_not_pickled():
+    for system in CORPUS:
+        groups, checks = system._plan
+        assert system._plan is system._plan
+        assert _plan_lists(system._plan) == _plan_lists(_transport_plan(system))
+        arrays = [a for flags, parents, _ in groups for a in (flags, parents)]
+        assert all(not a.flags.writeable for a in arrays + [flags for _, flags in checks])
+    system = CORPUS[1]
+    copy = pickle.loads(pickle.dumps(system))
+    assert "_plan" in vars(system) and "_plan" not in vars(copy)
+    assert _plan_lists(copy._plan) == _plan_lists(system._plan)
 
 
 def test_returned_isomorphisms_are_read_only_copies():
