@@ -46,7 +46,9 @@ from .flagsys import (
     Cell,
     FlagSystem,
     SurfaceSignature,
+    _assemble,
     _has_odd_cell,
+    _require_connected,
     cell_labels,
     surface_signature,
     validate,
@@ -507,7 +509,7 @@ def _insert_edges(system: FlagSystem, flags, letter: int) -> FlagSystem:
     conns[letter][copies] = corners
     conns[1][copies] = n + (local ^ step[letter])
     conns[other][copies] = n + (local ^ step[other])
-    return validate(2, n + corners.size, conns)
+    return _assemble(2, conns)
 
 
 def subdivide_edge(system: FlagSystem, edge: Cell) -> FlagSystem:
@@ -672,7 +674,9 @@ def connected_sum(system: FlagSystem, other: FlagSystem, flag_a: int, flag_b: in
         wa, wb = r1[r0[wa]], r1[r0[wb]]
     keep = np.concatenate([~fa, ~fb])
     new = np.cumsum(keep) - 1
-    return validate(2, np.count_nonzero(keep), [new[conn[keep]] for conn in conns])
+    conns = [new[conn[keep]] for conn in conns]
+    _require_connected(conns)  # a face that meets itself at a vertex can cut the sum apart
+    return _assemble(2, conns)
 
 
 # ---------------------------------------------------------------------------

@@ -315,26 +315,35 @@ def _check_pso_oracle(system, rng):
     return None
 
 
-_NEEDS_EVEN_FACES = ((0,), (1,), (0, 2), (1, 2))
-_NEEDS_EVEN_VERTICES = ((1,), (2,), (0, 1), (0, 2))
+def _odd_letter_pairs(system):
+    """Every i such that some <r_i, r_{i+1}> orbit has odd half-length.
+
+    Such an orbit is a 2k-cycle alternating r_i and r_{i+1}, and an
+    I-coloring changes colour k([i in I] + [i+1 in I]) times around it,
+    so for odd k every I in T(M) holds both of i and i+1 or neither.  At
+    rank 2 these orbits are the faces (i = 0) and the vertices (i = 1).
+    """
+    odd = []
+    for i in range(system.rank):
+        if system.rank == 2:  # the cached labels of the faces, then the vertices
+            labels = cell_labels(system, 2 - 2 * i)[0]
+        else:  # each orbit's flags share their root, so count roots as labels
+            pair = [(None, system.connections[j]) for j in (i, i + 1)]
+            labels = _orbits(system.flag_count, pair)[0]
+        if _has_odd_cell(labels):
+            odd.append(i)
+    return odd
 
 
 def _check_parity_necessity(system, rng):
-    if system.rank != 2:
-        return None
     group = coloring_group(system)
-    odd_face = _has_odd_cell(cell_labels(system, 2)[0])
-    odd_vertex = _has_odd_cell(cell_labels(system, 0)[0])
-    if odd_face:
-        for indices in _NEEDS_EVEN_FACES:
-            member = ColorSet.of(indices, 2)
-            if member in group:
-                return f"{member} present despite an odd face"
-    if odd_vertex:
-        for indices in _NEEDS_EVEN_VERTICES:
-            member = ColorSet.of(indices, 2)
-            if member in group:
-                return f"{member} present despite an odd vertex"
+    for i in _odd_letter_pairs(system):
+        pair = 3 << i
+        bad = [m for m in group.masks if bin(m & pair).count("1") == 1]
+        if bad:  # report {i} or {i+1} alone first, then order by the other letters
+            member = ColorSet(system.rank, min(bad, key=lambda m: (m & ~pair, m)))
+            where = ("face", "vertex")[i] if system.rank == 2 else f"<r{i}, r{i + 1}> orbit"
+            return f"{member} present despite an odd {where}"
     return None
 
 

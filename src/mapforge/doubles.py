@@ -26,7 +26,8 @@ from .errors import (
     ValidationError,
     VertexBipartite,
 )
-from .flagsys import FlagSystem, _freeze, _isomorphisms, _root_labels, validate
+from .flagsys import (
+    FlagSystem, _assemble, _freeze, _isomorphisms, _require_connected, _root_labels, validate)
 
 __all__ = [
     "DoubleResult",
@@ -64,28 +65,18 @@ def i_double(system: FlagSystem, color_set) -> DoubleResult:
     """
     cs = _as_color_set(system, color_set)
     n = system.flag_count
-    ids = np.arange(n, dtype=np.intp)
-    lifted = []
-    for j, conn in enumerate(system.connections):
-        s = np.empty(2 * n, dtype=np.intp)
-        if j in cs:
-            s[2 * ids] = 2 * conn + 1
-            s[2 * ids + 1] = 2 * conn
-        else:
-            s[2 * ids] = 2 * conn
-            s[2 * ids + 1] = 2 * conn + 1
-        lifted.append(s)
-
-    # The lift keeps every other axiom, so validate fails only on connectivity.
+    ids = np.arange(2 * n, dtype=np.intp)
+    lifted = [2 * np.repeat(conn, 2) + ((ids & 1) ^ (j in cs))
+              for j, conn in enumerate(system.connections)]
+    # The lift keeps ranges, fixed points, involutions, commuting and
+    # disjointness, so only connectivity is checked: it is the split test.
     try:
-        doubled = validate(system.rank, 2 * n, lifted)
+        _require_connected(lifted)
     except Disconnected:
         # the (0, 0) component holds exactly the flags (f, c(f)) for the
         # I-coloring c with c(0) = 0, so in ascending order it is the input
-        return DoubleResult(split=True, system=system, projection=ids)
-    return DoubleResult(
-        split=False, system=doubled, projection=np.arange(2 * n, dtype=np.intp) // 2
-    )
+        return DoubleResult(split=True, system=system, projection=np.arange(n, dtype=np.intp))
+    return DoubleResult(split=False, system=_assemble(system.rank, lifted), projection=ids // 2)
 
 
 def sherk_double(system: FlagSystem) -> FlagSystem:

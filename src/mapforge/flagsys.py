@@ -65,7 +65,8 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class FlagSystem:
-    """Immutable flag system.  Build instances through validate()."""
+    """Immutable flag system.  validate() builds one from outside data;
+    constructions that provably keep the axioms use _assemble()."""
 
     rank: int
     connections: tuple[np.ndarray, ...]
@@ -250,10 +251,20 @@ def validate(rank: int, flag_count: int, raw_connections) -> FlagSystem:
             agree = np.nonzero(ri == rj)[0]
             if agree.size:
                 raise NotDisjoint(i, j, int(agree[0]))
-    root, _, _ = _orbits(flag_count, [(None, c) for c in conns])
-    components = np.count_nonzero(root == ident)
+    _require_connected(conns)
+    return _assemble(rank, conns)
+
+
+def _require_connected(conns) -> None:
+    """Raise Disconnected unless one _orbits pass over `conns` finds one orbit."""
+    root, _, _ = _orbits(len(conns[0]), [(None, c) for c in conns])
+    components = np.count_nonzero(root == np.arange(root.size))
     if components != 1:
         raise Disconnected(int(components))
+
+
+def _assemble(rank: int, conns) -> FlagSystem:
+    """The system on `conns`, unchecked: for constructions that provably keep the axioms."""
     return FlagSystem(rank=rank, connections=tuple(_freeze(c) for c in conns))
 
 

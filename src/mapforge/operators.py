@@ -1,7 +1,10 @@
 """Classical operators on flag systems: dual, Petrie, opposite, medial.
 
-All four regenerate connection arrays and run full validation on the
-result.  They are pure and commute with flag relabeling.
+All four turn a valid system into a valid one (Wilson, "Maniplexes:
+Part 1", 2012), so they assemble their output without validating it;
+only opposite and petrie above rank 3, where r0·r2 may equal some r_j
+with j >= 4, still run validate.  They are pure and commute with flag
+relabeling.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ import numpy as np
 
 from .coloring import ColorSet
 from .errors import BadParameters, RankNotTwo
-from .flagsys import FlagSystem, validate
+from .flagsys import FlagSystem, _assemble, validate
 
 __all__ = [
     "dual",
@@ -25,7 +28,12 @@ __all__ = [
 
 def dual(system: FlagSystem) -> FlagSystem:
     """Reverse the connection order; cells of dimension i become rank − i."""
-    return validate(system.rank, system.flag_count, system.connections[::-1])
+    return _assemble(system.rank, system.connections[::-1])
+
+
+def _rewritten(rank: int, conns) -> FlagSystem:
+    """A system with r2 or r_{n-2} replaced by a commuting product: valid up to rank 3."""
+    return _assemble(rank, conns) if rank <= 3 else validate(rank, len(conns[0]), conns)
 
 
 def opposite(system: FlagSystem) -> FlagSystem:
@@ -38,7 +46,7 @@ def opposite(system: FlagSystem) -> FlagSystem:
         raise BadParameters(f"opposite needs rank >= 2, got {system.rank}")
     conns = list(system.connections)
     conns[2] = conns[0][conns[2]]
-    return validate(system.rank, system.flag_count, conns)
+    return _rewritten(system.rank, conns)
 
 
 def petrie(system: FlagSystem) -> FlagSystem:
@@ -53,7 +61,7 @@ def petrie(system: FlagSystem) -> FlagSystem:
     n = system.rank
     conns = list(system.connections)
     conns[n - 2] = conns[n][conns[n - 2]]
-    return validate(n, system.flag_count, conns)
+    return _rewritten(n, conns)
 
 
 def medial(system: FlagSystem) -> FlagSystem:
@@ -67,17 +75,10 @@ def medial(system: FlagSystem) -> FlagSystem:
         raise RankNotTwo(system.rank, "medial")
     n = system.flag_count
     r0, r1, r2 = system.connections
-    s0 = np.empty(2 * n, dtype=np.intp)
-    s1 = np.empty(2 * n, dtype=np.intp)
-    s2 = np.empty(2 * n, dtype=np.intp)
-    ids = np.arange(n, dtype=np.intp)
-    s0[2 * ids] = 2 * r1
-    s0[2 * ids + 1] = 2 * r1 + 1
-    s1[2 * ids] = 2 * r0
-    s1[2 * ids + 1] = 2 * r2 + 1
-    s2[2 * ids] = 2 * ids + 1
-    s2[2 * ids + 1] = 2 * ids
-    return validate(2, 2 * n, (s0, s1, s2))
+    ids = np.arange(2 * n, dtype=np.intp)
+    s0 = 2 * np.repeat(r1, 2) + (ids & 1)
+    s1 = 2 * np.stack([r0, r2], axis=1).ravel() + (ids & 1)
+    return _assemble(2, (s0, s1, ids ^ 1))
 
 
 def dual_color_set(color_set: ColorSet) -> ColorSet:

@@ -9,10 +9,13 @@ import pytest
 
 from mapforge import (
     ColorSet,
+    ColoringGroup,
     CorpusSpec,
     DEFAULT_GENERATORS,
     PROPERTY_CHECKS,
+    all_subgroups,
     build_corpus,
+    coloring_group,
     cube_maniplex,
     invoke_generator,
     is_isomorphic,
@@ -156,6 +159,58 @@ def test_transfers_check_covers_every_rank(monkeypatch):
 
     monkeypatch.setattr(corpus, "petrie_color_set", rank2_rule)
     assert PROPERTY_CHECKS["transfers"](system, None).startswith("petrie transfer fails")
+
+
+def _rank2_parity_rule(system, group):
+    """parity-necessity as it stood when it ran at rank 2 only."""
+    from mapforge.flagsys import _has_odd_cell, cell_labels
+
+    for dim, where, needs_even in (
+            (2, "face", ((0,), (1,), (0, 2), (1, 2))),
+            (0, "vertex", ((1,), (2,), (0, 1), (0, 2)))):
+        if _has_odd_cell(cell_labels(system, dim)[0]):
+            for indices in needs_even:
+                member = ColorSet.of(indices, 2)
+                if member in group:
+                    return f"{member} present despite an odd {where}"
+    return None
+
+
+def test_parity_necessity_keeps_the_rank_2_rule_and_messages(monkeypatch):
+    """At rank 2 the every-rank rule is the old face and vertex rule, with
+    the same first offending member, on every group a map could report."""
+    import mapforge.corpus as corpus
+
+    groups = all_subgroups(2)
+    rank2 = [system for _, system in build_corpus(CorpusSpec()) if system.rank == 2]
+    assert all(PROPERTY_CHECKS["parity-necessity"](system, None) is None for system in rank2)
+    failures = 0
+    for system in rank2:
+        for group in groups:
+            monkeypatch.setattr(corpus, "coloring_group", lambda s, group=group: group)
+            want = _rank2_parity_rule(system, group)
+            assert PROPERTY_CHECKS["parity-necessity"](system, None) == want
+            failures += want is not None
+    assert failures > len(rank2)
+
+
+def test_parity_necessity_is_tight_on_the_4_cube(monkeypatch):
+    """On cube-maniplex 4 the <r1, r2> and <r2, r3> orbits have odd
+    half-length 3, so 1, 2 and 3 go together and 0 is free: the rule
+    allows exactly T = {e, 0, 123, 0123}, which is the cube's group."""
+    import mapforge.corpus as corpus
+
+    system = cube_maniplex(4)
+    odd = corpus._odd_letter_pairs(system)
+    assert odd == [1, 2]
+    allowed = {m for m in range(16) if all((m >> i & 1) == (m >> (i + 1) & 1) for i in odd)}
+    assert allowed == {0b0000, 0b0001, 0b1110, 0b1111}
+    assert set(coloring_group(system).masks) == allowed
+    assert PROPERTY_CHECKS["parity-necessity"](system, None) is None
+    full = ColoringGroup.of(3, range(16))
+    monkeypatch.setattr(corpus, "coloring_group", lambda s: full)
+    assert PROPERTY_CHECKS["parity-necessity"](system, None) == \
+        "1 present despite an odd <r1, r2> orbit"
 
 
 @pytest.mark.parametrize("name,goal", [
