@@ -325,12 +325,8 @@ def _odd_letter_pairs(system):
     """
     odd = []
     for i in range(system.rank):
-        if system.rank == 2:  # the cached labels of the faces, then the vertices
-            labels = cell_labels(system, 2 - 2 * i)[0]
-        else:  # each orbit's flags share their root, so count roots as labels
-            pair = [(None, system.connections[j]) for j in (i, i + 1)]
-            labels = _orbits(system.flag_count, pair)[0]
-        if _has_odd_cell(labels):
+        pair = [(None, system.connections[j]) for j in (i, i + 1)]
+        if _has_odd_cell(_orbits(system.flag_count, pair)[0]):  # an orbit's flags share its root
             odd.append(i)
     return odd
 

@@ -31,11 +31,6 @@ def dual(system: FlagSystem) -> FlagSystem:
     return _assemble(system.rank, system.connections[::-1])
 
 
-def _rewritten(rank: int, conns) -> FlagSystem:
-    """A system with r2 or r_{n-2} replaced by a commuting product: valid up to rank 3."""
-    return _assemble(rank, conns) if rank <= 3 else validate(rank, len(conns[0]), conns)
-
-
 def opposite(system: FlagSystem) -> FlagSystem:
     """Replace connection 2 with the composite of connections 0 and 2.
 
@@ -44,9 +39,10 @@ def opposite(system: FlagSystem) -> FlagSystem:
     """
     if system.rank < 2:
         raise BadParameters(f"opposite needs rank >= 2, got {system.rank}")
+    n = system.rank
     conns = list(system.connections)
     conns[2] = conns[0][conns[2]]
-    return _rewritten(system.rank, conns)
+    return validate(n, system.flag_count, conns) if n > 3 else _assemble(n, conns)
 
 
 def petrie(system: FlagSystem) -> FlagSystem:
@@ -61,7 +57,7 @@ def petrie(system: FlagSystem) -> FlagSystem:
     n = system.rank
     conns = list(system.connections)
     conns[n - 2] = conns[n][conns[n - 2]]
-    return _rewritten(n, conns)
+    return validate(n, system.flag_count, conns) if n > 3 else _assemble(n, conns)
 
 
 def medial(system: FlagSystem) -> FlagSystem:
