@@ -33,6 +33,7 @@ from .coloring import (
 from .errors import (
     BadParameters,
     ConstructionFailed,
+    Disconnected,
     ExceptionalPair,
     FaceSelfAdjacent,
     FaceSizeMismatch,
@@ -430,16 +431,13 @@ def cube_maniplex(d: int) -> FlagSystem:
     perms = list(permutations(range(d)))
     index = {p: i for i, p in enumerate(perms)}
     fact = len(perms)
-    conns = [np.empty(n, dtype=np.intp) for _ in range(d)]
-    for x in range(1 << d):
-        base = x * fact
-        for pi, p in enumerate(perms):
-            f = base + pi
-            conns[0][f] = (x ^ (1 << p[0])) * fact + pi
-            for i in range(1, d):
-                q = list(p)
-                q[i - 1], q[i] = q[i], q[i - 1]
-                conns[i][f] = base + index[tuple(q)]
+    first = np.array([p[0] for p in perms], dtype=np.intp)
+    # swaps[i - 1][k]: the index of perms[k] with its entries i-1 and i swapped
+    swaps = np.array([[index[p[:i - 1] + (p[i], p[i - 1]) + p[i + 1:]] for p in perms]
+                      for i in range(1, d)], dtype=np.intp)
+    x = np.arange(1 << d, dtype=np.intp)[:, None]  # one row of flags per vertex
+    conns = [((x ^ (1 << first)) * fact + np.arange(fact)).ravel()]
+    conns += [(x * fact + swap).ravel() for swap in swaps]
     return validate(d - 1, n, conns)
 
 
@@ -639,7 +637,8 @@ def connected_sum(system: FlagSystem, other: FlagSystem, flag_a: int, flag_b: in
     Both faces must have the same degree and neither may meet itself
     across an edge.  The face interiors are removed and connection 2 is
     rewired so matching boundary corners join; the characteristics add,
-    minus the two lost disks.
+    minus the two lost disks.  A face that meets itself at a vertex can
+    cut the sum apart; that also raises FaceSelfAdjacent.
     """
     if system.rank != 2:
         raise RankNotTwo(system.rank, "connected_sum")
@@ -675,7 +674,11 @@ def connected_sum(system: FlagSystem, other: FlagSystem, flag_a: int, flag_b: in
     keep = np.concatenate([~fa, ~fb])
     new = np.cumsum(keep) - 1
     conns = [new[conn[keep]] for conn in conns]
-    _require_connected(conns)  # a face that meets itself at a vertex can cut the sum apart
+    try:
+        _require_connected(conns)
+    except Disconnected as exc:  # a face that meets itself at a vertex can cut the sum apart
+        raise FaceSelfAdjacent(
+            "a chosen", f"at a vertex, so the sum has {exc.component_count} components") from None
     return _assemble(2, conns)
 
 

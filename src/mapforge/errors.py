@@ -152,8 +152,8 @@ class FaceSizeMismatch(MapforgeError):
 
 
 class FaceSelfAdjacent(MapforgeError):
-    def __init__(self, which: str):
-        super().__init__(f"{which} face meets itself across an edge; cannot splice there")
+    def __init__(self, which: str, where: str = "across an edge"):
+        super().__init__(f"{which} face meets itself {where}; cannot splice there")
 
 
 class OrientabilityMismatch(MapforgeError):

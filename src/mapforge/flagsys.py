@@ -22,9 +22,21 @@ neighbouring roots and pointer-jumps (Shiloach-Vishkin), so a handful of
 whole-array passes replace one Python step per flag.  A system is
 immutable, so it caches one parity pass (FlagSystem._parity), the
 coloring group read off it (FlagSystem._group), the transport plan of
-the isomorphism search (FlagSystem._plan) and, per cell dimension, one
-label pass (cell_labels) and one cell route (coloring._cell_route);
-pso-oracle compares the two routes at every rank.
+the isomorphism search (FlagSystem._plan), the invariant flag classes
+that is_isomorphic falls back on (FlagSystem._classes) and, per cell
+dimension, one label pass (cell_labels) and one cell route
+(coloring._cell_route); pso-oracle compares the two routes at every
+rank.
+
+The isomorphism search transports candidate images of flag 0 along a
+BFS tree of the source, one level at a time: each level of the plan
+is one gather from the concatenated target connections for a whole
+block of candidates.  is_isomorphic tries the first candidate alone
+and then one block; past that it compares the histograms of the flag
+classes, cycle lengths of five words (_flag_classes), and tries only
+the candidates that send the rarest class onto its own.  A pair of
+maps with equal histograms and large classes, such as two
+flag-transitive maps that are not isomorphic, still costs Theta(N^2).
 """
 
 from __future__ import annotations
@@ -85,6 +97,7 @@ class FlagSystem:
     _labels = cached_property(lambda self: {})  # omit -> cell_labels result
     _routes = cached_property(lambda self: {})  # (dim, pass) -> coloring._cell_route passes
     _plan = cached_property(lambda self: _transport_plan(self))  # the isomorphism search's BFS
+    _classes = cached_property(lambda self: _flag_classes(self))  # is_isomorphic's flag invariant
 
     def __reduce__(self):  # unpickling validates afresh, with empty caches
         return validate, (self.rank, self.flag_count, self.connections)
@@ -380,40 +393,55 @@ def apply_word(system: FlagSystem, flag: int, word) -> int:
 
 
 def _transport_plan(system: FlagSystem):
-    """Level-synchronous BFS of the flag graph from flag 0.
+    """Level-synchronous BFS of the flag graph from flag 0, as a plan for
+    filling a transport table whose rows follow the BFS discovery order.
 
-    Returns (groups, checks), tuples of read-only arrays.  groups lists
-    (flags, parents, letter), one per BFS level and letter in discovery
-    order: flags = parents . r_letter are newly reached.  A connection is
-    a permutation, so the flags of one group are distinct.  checks lists
-    (letter, flags) for every letter: each edge {f, f . r_letter} outside
-    the spanning tree appears once, as its smaller flag f.
+    Returns (row, levels, checks) with read-only arrays.  row[f] is the
+    table row of flag f; flag 0 has row 0.  levels lists (rows, parents,
+    offsets), one per BFS level, each level taking the letters in turn:
+    the flags in the row slice `rows` are reached across r_j from the
+    flags in rows `parents`, and offsets holds j * N, the start of r_j
+    in the concatenated connections of a target, as a column.  A flag
+    keeps the first letter that reaches it.  checks lists (rows, ends, j)
+    for every letter j: each edge {f, f . r_j} outside the spanning tree
+    appears once, as the row of its smaller flag f (in ascending order)
+    and the row of f . r_j.
     """
-    n = system.flag_count
-    ids = np.arange(n, dtype=np.intp)
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    # tree[j][g]: g was reached by crossing r_j from its parent
-    tree = np.zeros((system.rank + 1, n), dtype=bool)
-    groups = []
-    frontier = ids[:1]
+    n, rank = system.flag_count, system.rank
+    unseen = np.ones(n, dtype=bool)
+    unseen[0] = False
+    found = [np.zeros(1, dtype=np.intp)]  # the flags of each (level, letter) in turn
+    parents = []
+    starts = [0]  # the first row of each level
+    frontier = found[0]
     while frontier.size:
-        reached = []
-        for letter, conn in enumerate(system.connections):
+        level = []
+        for conn in system.connections:
             img = conn[frontier]
-            new = ~seen[img]
-            flags = img[new]
-            if flags.size:
-                seen[flags] = True
-                tree[letter, flags] = True
-                groups.append((_freeze(flags), _freeze(frontier[new]), letter))
-                reached.append(flags)
-        frontier = np.concatenate(reached) if reached else ids[:0]
-    checks = tuple(
-        (letter, _freeze(np.flatnonzero((conn > ids) & ~tree[letter] & ~tree[letter][conn])))
-        for letter, conn in enumerate(system.connections)
-    )
-    return tuple(groups), checks
+            new = unseen[img].nonzero()[0]
+            level.append(img[new])
+            unseen[level[-1]] = False
+            parents.append(new + starts[-1])
+        starts.append(starts[-1] + frontier.size)
+        found += level
+        frontier = np.concatenate(level)
+    order = np.concatenate(found)
+    offsets = np.arange(0, (rank + 1) * n, n, dtype=np.intp)
+    steps = _freeze(np.repeat(np.tile(offsets, len(starts) - 1), [f.size for f in found[1:]]))
+    parents = _freeze(np.concatenate(parents))
+    levels = tuple((slice(a, b), parents[a - 1:b - 1], steps[a - 1:b - 1, None])
+                   for a, b in zip(starts[1:-1], starts[2:]))
+    row = np.zeros(n, dtype=np.intp)
+    row[order] = np.arange(n)
+    # tree[j * N + g]: g was reached across r_j from its parent
+    tree = np.zeros((rank + 1) * n, dtype=bool)
+    tree[steps + order[1:]] = True
+    checks = []
+    for j, conn in enumerate(system.connections):
+        image = conn[order]
+        keep = (order < image) & ~tree[offsets[j] + order] & ~tree[offsets[j] + image]
+        checks.append((_freeze(keep.nonzero()[0]), _freeze(row[image[keep]]), j))
+    return _freeze(row), levels, tuple(checks)
 
 
 _CHUNK = 4_000_000
@@ -426,21 +454,24 @@ def _isomorphisms(source: FlagSystem, target: FlagSystem, images=None):
 
     `images` lists the candidate images of source flag 0 in ascending
     order (default: every target flag).  A block of candidates is
-    transported along the BFS tree of the source's cached _transport_plan
-    (FlagSystem._plan), one 2-D gather per group into a flags-major table;
-    a column then fixes every flag.  Tree edges hold by construction in
-    both directions, since connections are involutions, so a column is an
-    isomorphism exactly when every listed non-tree edge commutes.  The
-    image of flag 0 fixes the rest, so each isomorphism appears once.
-    The first block is a probe of one column, images[0]: on a symmetric
-    map it is already a hit, and it costs one column of N flags.  The
-    next block has _FIRST_BLOCK columns, and blocks then double up to
-    about _CHUNK table entries.  Both systems must have the same rank and
-    flag count.
+    transported along the BFS tree of the source's cached
+    _transport_plan (FlagSystem._plan) into a table with one row per
+    flag, in BFS order, and one column per candidate: each level is one
+    gather from the concatenated target connections into a slice of
+    rows.  Tree edges hold by construction in both directions, since
+    connections are involutions, so a column is an isomorphism exactly
+    when every listed non-tree edge commutes, which one gather per
+    letter tests for the whole block.  The image of flag 0 fixes the
+    rest, so each isomorphism appears once.  The first block is a probe
+    of one column, images[0]: on a symmetric map it is already a hit,
+    and it costs one column of N flags.  The next block has _FIRST_BLOCK
+    columns, and blocks then double up to about _CHUNK table entries.
+    Both systems must have the same rank and flag count.
     """
-    groups, checks = source._plan
+    row, levels, checks = source._plan
     n = source.flag_count
     tconns = target.connections
+    conns = np.concatenate(tconns)
     if images is None:
         images = np.arange(n, dtype=np.intp)
     cap = max(1, _CHUNK // n)
@@ -452,28 +483,96 @@ def _isomorphisms(source: FlagSystem, target: FlagSystem, images=None):
         width = min(_FIRST_BLOCK if start == 1 else 2 * width, cap)
         table = np.empty((n, block.size), dtype=np.intp)
         table[0] = block
-        for flags, parents, letter in groups:
-            table[flags] = tconns[letter][table[parents]]
+        # every index is in range; mode="clip" lets take write straight into out
+        for level, parents, steps in levels:
+            step = table[parents]
+            step += steps
+            np.take(conns, step, out=table[level], mode="clip")
         ok = np.ones(block.size, dtype=bool)
-        for letter, flags in checks:
-            conn = source.connections[letter]
-            ok &= (table[conn[flags]] == tconns[letter][table[flags]]).all(axis=0)
+        for rows, ends, letter in checks:
+            ok &= (np.take(tconns[letter], table[rows], mode="clip") == table[ends]).all(axis=0)
         for col in np.flatnonzero(ok):
-            yield _freeze(table[:, col].copy())
+            # copy the strided column first: a gather straight from it is slower
+            yield _freeze(table[:, col].copy()[row])
+
+
+def _flag_classes(system: FlagSystem):
+    """Isomorphism-invariant classes of the flags.
+
+    A flag's key lists the lengths of its cycles under the Petrie word
+    r0 r1 ... rn and, from rank 2, under r1 r2 and r0 r1 (at rank 2, its
+    vertex and face degrees), r0 r1 r2 r1 r2 and r0 r1 r0 r1 r2.  Each
+    cycle is labelled with its smallest flag by doubling: after k rounds
+    a flag holds the least flag among its next 2^k images, and a round
+    that changes nothing has covered every cycle.  Returns (keys,
+    counts, classes): the distinct keys in sorted order, how many flags
+    carry each, and every flag's index into keys.  An isomorphism keeps
+    every key, so it maps each class onto the class with the same key.
+    """
+    n, conns = system.flag_count, system.connections
+    ids = np.arange(n, dtype=np.intp)
+    words = [range(system.rank + 1)]
+    if system.rank >= 2:
+        words += [(1, 2), (0, 1), (0, 1, 2, 1, 2), (0, 1, 0, 1, 2)]
+    columns = []
+    for word in words:
+        step = ids
+        for letter in word:
+            step = conns[letter][step]
+        low = ids
+        while not np.array_equal(lower := np.minimum(low, low[step]), low):
+            low, step = lower, step[step]
+        columns.append(np.bincount(low, minlength=n)[low])
+    # one lexsort groups equal keys; np.unique(axis=0) sorts rows as records, several times slower
+    table = np.stack(columns, axis=1)
+    order = np.lexsort(columns[::-1])
+    table = table[order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = (table[1:] != table[:-1]).any(axis=1)
+    classes = np.zeros(n, dtype=np.intp)
+    classes[order] = np.cumsum(first) - 1
+    return table[first], np.diff(np.append(np.flatnonzero(first), n)), _freeze(classes)
 
 
 def is_isomorphic(system: FlagSystem, other: FlagSystem):
     """Flag bijection phi with phi(f . r_i) = phi(f) . s_i, or None.
 
-    The search fixes flag 0 of `system` and tries every flag of `other` as
-    its image, extending by flag transport along a spanning tree; a candidate
-    either extends to a full isomorphism or dies on a consistency check.
+    Of all isomorphisms, the one with the least image of flag 0 is
+    returned.  The search tries the flags of `other` in ascending order
+    as the image of flag 0, first one alone and then a block of
+    _FIRST_BLOCK; on a symmetric map the first try is a hit at the cost
+    of one transport of N flags.  After that block it compares the
+    histograms of the flag classes of both maps (_flag_classes) and
+    returns None if they differ.  Otherwise let r be the first flag of
+    the rarest class.  Every isomorphism sends r into the class of r in
+    `other`, so carrying each flag of that class back along the BFS path
+    from r to flag 0 lists every possible image of flag 0, and the
+    search goes on over those alone.
     """
     if system.rank != other.rank:
         raise RankMismatch(system.rank, other.rank)
     if system.flag_count != other.flag_count:
         return None
-    return next(_isomorphisms(system, other), None)
+    first = np.arange(min(system.flag_count, 1 + _FIRST_BLOCK), dtype=np.intp)
+    found = next(_isomorphisms(system, other, first), None)
+    if found is not None or first.size == system.flag_count:
+        return found
+    keys, counts, classes = system._classes
+    other_keys, other_counts, other_classes = other._classes
+    if not (np.array_equal(keys, other_keys) and np.array_equal(counts, other_counts)):
+        return None
+    rarest = int(np.argmin(counts))
+    images = np.flatnonzero(other_classes == rarest)
+    # carry the candidates for r's image back to candidates for flag 0's image
+    # along the BFS tree path from r up to flag 0
+    row, levels, _ = system._plan
+    at = int(row[np.argmax(classes == rarest)])
+    for rows, parents, steps in reversed(levels):
+        if at >= rows.start:
+            images = other.connections[int(steps[at - rows.start, 0]) // system.flag_count][images]
+            at = int(parents[at - rows.start])
+    images = np.sort(images)
+    return next(_isomorphisms(system, other, images[images >= first.size]), None)
 
 
 def deck_transformations(system: FlagSystem) -> list[np.ndarray]:

@@ -3,8 +3,9 @@
 These are the bodies of from_rotation_system, _glued_polygon,
 _square_complex, grid_map's gluing list and tri_torus as they were
 before every generator moved onto one whole-array polygon builder
-(construct._polygons).  Each writes its three connections with its own
-Python loop, so the equivalence tests compare the builder against an
+(construct._polygons), and of cube_maniplex before it moved to
+whole-array numpy.  Each writes its connections with its own Python
+loop, so the equivalence tests compare the builders against an
 independent, one-dart-at-a-time implementation.  The size and
 parameter checks of the public generators are left out: the tests call
 these only with parameters that the generators accept.
@@ -132,3 +133,24 @@ def grid_map(m: int, n: int, k: int):
     for j in range(n):
         gluings.append(((sq(0, j), 3), (sq(m - 1, n - 1 - j), 1), 0 if j < k else 1))
     return square_complex(m * n, gluings)
+
+
+def cube_maniplex(d: int):
+    """Flag system of the d-cube, one (vertex, coordinate order) flag at a time."""
+    from itertools import permutations
+
+    perms = list(permutations(range(d)))
+    index = {p: i for i, p in enumerate(perms)}
+    fact = len(perms)
+    n = (1 << d) * fact
+    conns = [np.empty(n, dtype=np.intp) for _ in range(d)]
+    for x in range(1 << d):
+        base = x * fact
+        for pi, p in enumerate(perms):
+            f = base + pi
+            conns[0][f] = (x ^ (1 << p[0])) * fact + pi
+            for i in range(1, d):
+                q = list(p)
+                q[i - 1], q[i] = q[i], q[i - 1]
+                conns[i][f] = base + index[tuple(q)]
+    return validate(d - 1, n, conns)

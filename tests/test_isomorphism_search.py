@@ -30,7 +30,7 @@ from mapforge import (
     tri_torus,
 )
 from mapforge.cli import main
-from mapforge.corpus import invoke_generator
+from mapforge.corpus import invoke_generator, random_surgery
 from mapforge.errors import ValidationError
 from mapforge.fileio import write_flag_file
 from mapforge.flagsys import _transport_plan
@@ -179,7 +179,7 @@ def test_candidate_images_restrict_the_search():
     assert len(want) == 16 and _same_list(got, want)
 
 
-def _bfs_depth(system):
+def _bfs_distances(system):
     dist = np.full(system.flag_count, -1)
     dist[0] = 0
     queue = deque([0])
@@ -190,27 +190,35 @@ def _bfs_depth(system):
             if dist[g] < 0:
                 dist[g] = dist[f] + 1
                 queue.append(g)
-    return int(dist.max())
+    return dist
 
 
 def test_transport_plan_is_level_synchronous():
     system = tri_torus(30, 30)
-    n, rank = system.flag_count, system.rank
-    groups, checks = _transport_plan(system)
-    # one group per BFS level and letter, not one step per flag
-    assert len(groups) <= (rank + 1) * (_bfs_depth(system) + 1)
-    assert 20 * len(groups) < n
-    tree, reached = set(), {0}
-    for flags, parents, letter in groups:
-        assert np.array_equal(flags, system.connections[letter][parents])
-        assert reached.issuperset(parents.tolist())
-        assert reached.isdisjoint(flags.tolist())
-        reached.update(flags.tolist())
-        tree.update((letter, min(f, p), max(f, p)) for f, p in zip(flags.tolist(), parents.tolist()))
-    assert len(reached) == n and len(tree) == n - 1
-    listed = [(letter, f, int(system.connections[letter][f]))
-              for letter, flags in checks for f in flags.tolist()]
-    assert all(f < g for _, f, g in listed)
+    n = system.flag_count
+    row, levels, checks = _transport_plan(system)
+    dist = _bfs_distances(system)
+    # every flag has one table row, flag 0 the first
+    assert row[0] == 0 and np.array_equal(np.sort(row), np.arange(n))
+    order = np.argsort(row)
+    # one group per BFS level, not one per level and letter
+    assert len(levels) == dist.max()
+    conns = np.concatenate(system.connections)
+    tree, stop = set(), 1
+    for depth, (rows, parents, offsets) in enumerate(levels, start=1):
+        assert rows.start == stop  # each flag is reached once, level after level
+        stop = rows.stop
+        flags = order[rows]
+        assert (dist[flags] == depth).all()
+        assert (parents < rows.start).all()  # parents come before their children
+        assert np.array_equal(flags, conns[offsets[:, 0] + order[parents]])
+        letters = (offsets[:, 0] // n).tolist()
+        tree.update((j, min(f, p), max(f, p))
+                    for j, f, p in zip(letters, flags.tolist(), order[parents].tolist()))
+    assert stop == n and len(tree) == n - 1
+    listed = [(j, int(order[r]), int(order[e])) for rows, ends, j in checks
+              for r, e in zip(rows.tolist(), ends.tolist())]
+    assert all(f < g and system.connections[j][f] == g for j, f, g in listed)
     # every edge outside the tree, each exactly once
     every_edge = {(j, f, int(conn[f])) for j, conn in enumerate(system.connections)
                   for f in range(n) if f < conn[f]}
@@ -310,18 +318,21 @@ def test_transport_plan_is_built_once_per_system(monkeypatch):
 
 
 def _plan_lists(plan):
-    groups, checks = plan
-    return ([(letter, flags.tolist(), parents.tolist()) for flags, parents, letter in groups],
-            [(letter, flags.tolist()) for letter, flags in checks])
+    row, levels, checks = plan
+    return (row.tolist(),
+            [(rows.start, rows.stop, parents.tolist(), offsets.tolist())
+             for rows, parents, offsets in levels],
+            [(j, rows.tolist(), ends.tolist()) for rows, ends, j in checks])
 
 
 def test_cached_plan_is_read_only_and_not_pickled():
     for system in CORPUS:
-        groups, checks = system._plan
+        row, levels, checks = system._plan
         assert system._plan is system._plan
         assert _plan_lists(system._plan) == _plan_lists(_transport_plan(system))
-        arrays = [a for flags, parents, _ in groups for a in (flags, parents)]
-        assert all(not a.flags.writeable for a in arrays + [flags for _, flags in checks])
+        arrays = [row] + [a for _, parents, offsets in levels for a in (parents, offsets)]
+        arrays += [a for rows, ends, _ in checks for a in (rows, ends)]
+        assert all(not a.flags.writeable for a in arrays)
     system = CORPUS[1]
     copy = pickle.loads(pickle.dumps(system))
     assert "_plan" in vars(system) and "_plan" not in vars(copy)
@@ -332,3 +343,89 @@ def test_returned_isomorphisms_are_read_only_copies():
     cube = CORPUS[1]
     decks = deck_transformations(cube)
     assert all(d.base is None and not d.flags.writeable for d in decks)
+
+
+def _surgeried(base, seed, depth=3):
+    rng = np.random.default_rng(seed)
+    for _ in range(depth):
+        base = random_surgery(base, rng)
+    return base
+
+
+def _fresh(system):
+    """An uncached copy: no plan and no flag classes yet."""
+    return flagsys._assemble(system.rank, system.connections)
+
+
+def _late_pairs():
+    """Surgeried maps, and doubles of them, against relabelings and against
+    other surgeries of the same base with the same flag count."""
+    surgeried = [s for name, s in _CORPUS if "+" in name]
+    pairs = [(s, _relabeled(s, 40 + k)) for k, s in enumerate(surgeried)]
+    # the probe and the first block settle every map of at most 65 flags
+    pairs += [(d, _relabeled(d, 80 + k)) for k, (name, d) in enumerate(DOUBLES)
+              if "+" in name and d.flag_count > 1 + flagsys._FIRST_BLOCK][:12]
+    for k, base in enumerate([invoke_generator("tri-torus 4 4"), invoke_generator("grid 4 5 1")]):
+        variants = [_surgeried(base, seed) for seed in range(6)]
+        pairs += [(s, _relabeled(t, k)) for s in variants[:3] for t in variants
+                  if s.flag_count == t.flag_count]
+    return pairs
+
+
+LATE = _late_pairs()
+LATE_WANT = [ref.is_isomorphic(s, t) for s, t in LATE]
+
+
+def test_searches_past_the_first_block_match_the_reference(monkeypatch):
+    """Hits past the probe and the first block, and pairs of equal size
+    that are not isomorphic, both go through the flag classes."""
+    classified = []
+    honest = flagsys._flag_classes
+    monkeypatch.setattr(flagsys, "_flag_classes", lambda s: classified.append(s) or honest(s))
+    for (s, t), want in zip(LATE, LATE_WANT):
+        assert _same(is_isomorphic(_fresh(s), _fresh(t)), want)
+    late = [w for w in LATE_WANT if w is not None and w[0] > flagsys._FIRST_BLOCK]
+    assert len(late) >= 5 and sum(w is None for w in LATE_WANT) >= 5
+    assert len(classified) >= 2 * len(late)
+
+
+_HONEST_CLASSES = flagsys._flag_classes
+
+
+def _numbering_mutant(system):
+    """_flag_classes with every class split by the parity of the flag
+    number: not an invariant, since a relabeling moves it."""
+    keys, _, classes = _HONEST_CLASSES(system)
+    table = np.column_stack([keys[classes], np.arange(system.flag_count) % 2])
+    keys, classes, counts = np.unique(table, axis=0, return_inverse=True, return_counts=True)
+    return keys, counts, classes.reshape(-1)
+
+
+def test_an_invariant_that_reads_the_numbering_fails_the_reference(monkeypatch):
+    """The comparison above catches a class key that is not an invariant."""
+    monkeypatch.setattr(flagsys, "_flag_classes", _numbering_mutant)
+    wrong = sum(not _same(is_isomorphic(_fresh(s), _fresh(t)), want)
+                for (s, t), want in zip(LATE, LATE_WANT))
+    assert wrong > 0
+
+
+def test_different_class_histograms_end_the_search(monkeypatch):
+    """After the probe and the first block, a pair whose class histograms
+    differ is refused without another transport table."""
+    a, b = tri_torus(30, 30), tri_torus(20, 45)
+    n = a.flag_count
+    assert not np.array_equal(a._classes[1], b._classes[1])
+    shapes = _tables(monkeypatch, lambda: is_isomorphic(_fresh(a), _fresh(b)))
+    assert shapes == [(n, 1), (n, flagsys._FIRST_BLOCK)]
+
+
+def test_a_late_hit_transports_only_the_rarest_class(monkeypatch):
+    system = _surgeried(tri_torus(12, 12), 5)
+    n = system.flag_count
+    seed = next(seed for seed in range(20)
+                if is_isomorphic(system, _relabeled(system, seed))[0] > 4 * flagsys._FIRST_BLOCK)
+    other = _relabeled(system, seed)
+    rarest = system._classes[1].min()
+    shapes = _tables(monkeypatch, lambda: is_isomorphic(_fresh(system), _fresh(other)))
+    assert shapes[:2] == [(n, 1), (n, flagsys._FIRST_BLOCK)]
+    assert sum(cols for _, cols in shapes[2:]) <= rarest < 8

@@ -3,7 +3,8 @@
 construct._polygons writes the connections of every rotation system,
 polygon word, crosscap, strip, grid and triangulated torus.  Each
 generator must give the same connection arrays as the per-dart loops in
-construct_reference, or fail with the same exception.
+construct_reference, or fail with the same exception.  cube_maniplex,
+written with whole-array numpy too, is checked against its old loop.
 """
 
 import random
@@ -98,3 +99,8 @@ def test_unglued_square_side_is_refused():
             _square_complex(1, np.array(gluings))
         assert isinstance(caught.value, OutOfRange)
         assert caught.value.i == 2 and caught.value.value == -1
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_cube_maniplex_matches_the_per_flag_loop(d):
+    assert construct.cube_maniplex(d) == ref.cube_maniplex(d)

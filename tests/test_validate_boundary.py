@@ -37,11 +37,11 @@ from mapforge import (
 )
 from mapforge.cli import main
 from mapforge.errors import (
-    Disconnected,
     FaceSelfAdjacent,
     FaceSizeMismatch,
     LoopEdge,
     NotDisjoint,
+    ValidationError,
 )
 
 
@@ -76,7 +76,7 @@ def derived(system):
     for flag_b in (0, system.flag_count // 2, system.flag_count - 1):
         try:
             yield f"sum with itself at 0, {flag_b}", connected_sum(system, system, 0, flag_b)
-        except (FaceSelfAdjacent, FaceSizeMismatch, Disconnected):
+        except (FaceSelfAdjacent, FaceSizeMismatch):
             pass
 
 
@@ -114,19 +114,38 @@ def figure_eight():
     return from_rotation_system(RotationSystem(((0, 1, 2, 3),), ((0, 1, 1), (2, 3, 1))))
 
 
+def _outer_face(system):
+    labels, _ = flagsys.cell_labels(system, 2)
+    return np.flatnonzero(labels == np.argmax(np.bincount(labels)))
+
+
 def test_connected_sum_still_refuses_a_disconnected_result():
     """Removing a face that passes its vertex twice leaves two pieces;
     sewing two such faces can keep them apart, so the sum is not a theorem
-    and connected_sum keeps its connectivity pass."""
+    and connected_sum keeps its connectivity pass.  Both inputs are valid,
+    so the refusal is a precondition error, not a ValidationError."""
     system = figure_eight()
     assert validate(2, system.flag_count, system.connections) == system
-    labels, _ = flagsys.cell_labels(system, 2)
-    outer = np.flatnonzero(labels == np.argmax(np.bincount(labels)))
+    outer = _outer_face(system)
     assert outer.size == 4
     for flag_a in outer.tolist():
         for flag_b in outer.tolist():
-            with pytest.raises(Disconnected, match=r"\(2 components\)"):
+            with pytest.raises(FaceSelfAdjacent, match="at a vertex, so the sum has 2 components"):
                 connected_sum(system, system, flag_a, flag_b)
+    assert not issubclass(FaceSelfAdjacent, ValidationError)
+
+
+def test_sum_of_faces_meeting_themselves_at_a_vertex_exits_1(tmp_path, capsys):
+    path = tmp_path / "eight.flags"
+    system = figure_eight()
+    write_flag_file(system, str(path))
+    flag = int(_outer_face(system)[0])
+    assert main(["sum", str(path), str(path), "--flags", f"{flag},{flag}"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "error: a chosen face meets itself at a vertex, so the sum has 2 components;"
+        " cannot splice there"]
 
 
 def cayley_z2_4():
