@@ -91,6 +91,11 @@ def _sidecar_lines(args, lines) -> None:
         _write_text(path, "\n".join(lines) + "\n")
 
 
+def _bit_text(bits, symbols: bytes) -> str:
+    """A 0/1 uint8 array as one character per entry, symbols[0] or symbols[1]."""
+    return bits.tobytes().translate(bytes.maketrans(b"\0\1", symbols)).decode("ascii")
+
+
 def _degree_summary(labels) -> str:
     degrees, counts = np.unique(np.bincount(labels) // 2, return_counts=True)
     return ",".join(f"{d}:{n}" for d, n in zip(degrees.tolist(), counts.tolist()))
@@ -141,7 +146,7 @@ def cmd_color(args) -> int:
     if witness is None:
         _report(args, [("colorable", False)])
         return 1
-    line = "".join(str(int(b)) for b in witness.assignment)
+    line = _bit_text(witness.assignment, b"01")
     if args.json:
         print(json.dumps({"colorable": True, "assignment": line}))
     else:
@@ -162,7 +167,7 @@ def cmd_pso(args) -> int:
     if witness is None:
         _report(args, [("pseudo_orientable", False), ("kind", args.kind)])
         return 1
-    arrows = "".join("+" if not b else "-" for b in witness.arrows)
+    arrows = _bit_text(witness.arrows, b"+-")
     _report(args, [("pseudo_orientable", True), ("kind", args.kind),
                    ("cell_dimension", witness.cell_dimension), ("arrows", arrows)])
     return 0

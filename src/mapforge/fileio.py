@@ -12,6 +12,8 @@ Lines starting with '#' and blank lines are skipped on input.  Flags are
 0-based; an image is a base-10 integer with an optional sign, read as
 int() reads it.  Everything else is rejected with a line/column
 diagnostic.  A path that cannot be read or written is a FlagFileError.
+Rows are written by one gather from a table of every value's digits
+(_digit_table), 8 bytes a value below 10**7 and 16 from there on.
 """
 
 from __future__ import annotations
@@ -100,13 +102,28 @@ def parse_flag_text(text: str) -> FlagSystem:
     return validate(rank, count, connections)
 
 
-def _row(values) -> str:
-    return ("%d " * len(values) % tuple(values.tolist()))[:-1]
+def _digit_table(top: int) -> np.ndarray:
+    """Entry v <= top: v's digits and a space behind zero bytes, 8 or 16 bytes wide."""
+    table = np.zeros((top + 1, 8 if top < 10 ** 7 else 16), dtype=np.uint8)
+    table[:, -1] = ord(" ")
+    for k in range(len(str(top))):
+        step = 10 ** k
+        cycle = np.repeat(np.frombuffer(b"0123456789", np.uint8)[:top // step + 1], step)
+        low = step if k else 0  # no leading zeros, but 0 keeps its digit
+        table[low:, -2 - k] = np.tile(cycle, top // cycle.size + 1)[low:top + 1]
+    return table.view(f"V{table.shape[1]}")[:, 0]
+
+
+def _row(values, table=None) -> str:
+    """Non-negative integers joined by single spaces, via a _digit_table."""
+    table = _digit_table(int(values.max(initial=0))) if table is None else table
+    return table[values].tobytes().translate(None, b"\0")[:-1].decode("ascii")
 
 
 def write_flag_text(system: FlagSystem) -> str:
     """Canonical text form; parse(write(M)) round-trips byte-for-byte."""
-    rows = "".join(f"r{i}: {_row(conn)}\n" for i, conn in enumerate(system.connections))
+    table = _digit_table(system.flag_count - 1)
+    rows = "".join(f"r{i}: {_row(conn, table)}\n" for i, conn in enumerate(system.connections))
     return f"rank {system.rank}\nflags {system.flag_count}\n{rows}"
 
 

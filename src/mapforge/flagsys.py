@@ -143,11 +143,13 @@ def _orbits(n: int, edges, flips=None):
     and the flip is a cycle mask (see _cycle_basis), all of them zero
     exactly when the relations are consistent.
 
-    Each sweep takes the groups in turn.  Every root adjacent to a
-    smaller root hooks onto the smallest such root, taking its potential
-    from one witness edge, then pointer jumping runs until each node
-    points at its root, XOR-ing potentials along every jump.  Sweeps
-    repeat until one hooks nothing.  Potentials use the narrowest
+    A first group with src None, an involution, is hooked in one step
+    (each node points at the smaller end of its pair) and never swept
+    again.  Each sweep takes the other groups in turn.  Every root
+    adjacent to a smaller root hooks onto the smallest such root, taking
+    its potential from one witness edge, then pointer jumping runs until
+    each node points at its root, XOR-ing potentials along every jump.
+    Sweeps repeat until one hooks nothing.  Potentials use the narrowest
     unsigned dtype that holds every flip, up to 64 bits.
 
     Returns (root, pot, rounds): root[x] is the smallest node of x's
@@ -159,10 +161,15 @@ def _orbits(n: int, edges, flips=None):
     if flips is not None:
         top = max((w if isinstance(w, int) else int(w.max(initial=0)) for w in flips), default=0)
         pot = np.zeros(n, dtype=np.min_scalar_type(top))
-    rounds = 0
+    rounds = first = hooked = 0
+    if edges and edges[0][0] is None:  # an involution: its pairs hook in one step
+        below = edges[0][1] < parent
+        np.minimum(parent, edges[0][1], out=parent)
+        if pot is not None:
+            pot[below] = flips[0] if isinstance(flips[0], int) else flips[0][below]
+        first, hooked = 1, np.count_nonzero(below)
     while True:
-        hooked = False
-        for k, (src, dst) in enumerate(edges):
+        for k, (src, dst) in enumerate(edges[first:], first):
             a = parent if src is None else parent[src]
             b = parent[dst]
             # Both directions are listed, so hooking from the larger end suffices.
@@ -176,12 +183,12 @@ def _orbits(n: int, edges, flips=None):
             if pot is not None:
                 w = flips[k]
                 d = pot[sel if src is None else src[sel]] ^ pot[dst[sel]]
-                d ^= w[sel] if np.ndim(w) else w
+                d ^= w if isinstance(w, int) else w[sel]
                 win = parent[hi] == lo
                 pot[hi[win]] = d[win]
             while True:
                 grand = parent[parent]
-                if (grand == parent).all():
+                if not np.count_nonzero(grand != parent):
                     break
                 if pot is not None:
                     pot ^= pot[parent]
@@ -189,6 +196,7 @@ def _orbits(n: int, edges, flips=None):
         if not hooked:
             return parent, pot, rounds
         rounds += 1
+        hooked = False
 
 
 def _cycle_basis(pot: np.ndarray, edges, flips) -> list[int]:

@@ -4,7 +4,9 @@ These are the per-flag loops that flagsys, coloring and doubles used
 before they moved onto one numpy kernel.  The bodies are kept as they
 were so that the equivalence tests compare the kernel against an
 independent implementation, and direct_pso and find_coloring keep being
-checked by a second route.
+checked by a second route.  orbits is the numpy kernel as it was before
+it hooked a first connection in one step; flagsys._orbits must return
+bit-identical (root, pot, rounds).
 """
 
 from __future__ import annotations
@@ -84,6 +86,67 @@ class ParityDisjointSets:
         self.offset[rb] = pa ^ pb ^ parity
         self.size[ra] += self.size[rb]
         return True
+
+
+def orbits(n: int, edges, flips=None):
+    """Orbits of nodes 0..n-1 under undirected edges, with XOR potentials.
+
+    `edges` lists edge groups as (src, dst) index arrays; src None stands
+    for every node in order, so a connection array is a group by itself.
+    Each group must list every edge in both directions, as an involution
+    does.  `flips`, when given, holds one entry per group: an int bitmask
+    or an array with one mask per edge, equal on both directions.  The
+    potentials then satisfy pot[src] ^ pot[dst] == flip along a spanning
+    forest of the edges; on every other edge the XOR of both potentials
+    and the flip is a cycle mask (see _cycle_basis), all of them zero
+    exactly when the relations are consistent.
+
+    Each sweep takes the groups in turn.  Every root adjacent to a
+    smaller root hooks onto the smallest such root, taking its potential
+    from one witness edge, then pointer jumping runs until each node
+    points at its root, XOR-ing potentials along every jump.  Sweeps
+    repeat until one hooks nothing.  Potentials use the narrowest
+    unsigned dtype that holds every flip, up to 64 bits.
+
+    Returns (root, pot, rounds): root[x] is the smallest node of x's
+    orbit, pot is None without flips, and rounds counts the sweeps that
+    hooked at least one root.
+    """
+    parent = np.arange(n, dtype=np.intp)
+    pot = None
+    if flips is not None:
+        top = max((w if isinstance(w, int) else int(w.max(initial=0)) for w in flips), default=0)
+        pot = np.zeros(n, dtype=np.min_scalar_type(top))
+    rounds = 0
+    while True:
+        hooked = False
+        for k, (src, dst) in enumerate(edges):
+            a = parent if src is None else parent[src]
+            b = parent[dst]
+            # Both directions are listed, so hooking from the larger end suffices.
+            sel = (a > b).nonzero()[0]
+            if not sel.size:
+                continue
+            hooked = True
+            hi, lo = a[sel], b[sel]
+            del a, b  # keep at most two full-length temporaries alive
+            np.minimum.at(parent, hi, lo)
+            if pot is not None:
+                w = flips[k]
+                d = pot[sel if src is None else src[sel]] ^ pot[dst[sel]]
+                d ^= w[sel] if np.ndim(w) else w
+                win = parent[hi] == lo
+                pot[hi[win]] = d[win]
+            while True:
+                grand = parent[parent]
+                if (grand == parent).all():
+                    break
+                if pot is not None:
+                    pot ^= pot[parent]
+                parent = grand
+        if not hooked:
+            return parent, pot, rounds
+        rounds += 1
 
 
 def component_count(flag_count: int, conns) -> int:

@@ -13,6 +13,7 @@ import pytest
 import mapforge.cli as cli
 import mapforge.coloring as coloring
 import mapforge.flagsys as flagsys
+from cases import CORPUS, color_sets
 from mapforge import (
     PROPERTY_CHECKS,
     CorpusSpec,
@@ -20,7 +21,9 @@ from mapforge import (
     cells,
     coloring_group,
     cube_maniplex,
+    direct_pso,
     euler_characteristic,
+    find_coloring,
     i_double,
     is_isomorphic,
     parse_flag_text,
@@ -33,6 +36,7 @@ from mapforge import (
     write_flag_text,
 )
 from mapforge.cli import main
+from mapforge.coloring import PSO_KINDS
 
 
 @pytest.fixture
@@ -788,3 +792,28 @@ def test_help_is_the_same_on_every_call(capsys, verb):
     assert texts[0].startswith("usage: mapforge" + ("" if verb is None else f" {verb} "))
     if verb is None:
         assert "{" + ",".join(VERBS) + "}" in texts[0]
+
+
+def test_color_and_pso_text_is_the_per_element_text(run, tmp_path):
+    """The translated bytes equal the old one-character-per-element joins."""
+    big = tri_torus(60, 60)
+    for name, system in CORPUS + [("tri-torus 60 60", big)]:
+        for cs in color_sets(system.rank):
+            witness = find_coloring(system, cs)
+            if witness is not None:
+                want = "".join(str(int(b)) for b in witness.assignment)
+                assert cli._bit_text(witness.assignment, b"01") == want, (name, str(cs))
+        for kind in PSO_KINDS if system.rank == 2 else ():
+            witness = direct_pso(system, kind)
+            if witness is not None:
+                want = "".join("+" if not b else "-" for b in witness.arrows)
+                assert cli._bit_text(witness.arrows, b"+-") == want, (name, kind)
+    path = str(tmp_path / "big.flags")
+    write_flag_file(big, path)
+    code, out, _ = run("color", path, "-I", "012")  # orientable
+    assert code == 0
+    assert out == "".join(str(int(b)) for b in find_coloring(big, (0, 1, 2)).assignment) + "\n"
+    code, out, _ = run("pso", path, "--kind", "face")
+    assert code == 0
+    arrows = direct_pso(big, "face").arrows
+    assert out.splitlines()[-1] == "arrows=" + "".join("+" if not b else "-" for b in arrows)

@@ -8,6 +8,7 @@ import mapforge.fileio as fileio
 from cases import relabeled
 from fileio_reference import parse_flag_text as reference_parse
 from mapforge import (
+    cube_maniplex,
     grid_map,
     i_double,
     invoke_generator,
@@ -265,6 +266,11 @@ def _joined(values):
     return " ".join(map(str, values.tolist()))
 
 
+def _text_of(system):
+    return f"rank {system.rank}\nflags {system.flag_count}\n" + "".join(
+        f"r{i}: {_joined(conn)}\n" for i, conn in enumerate(system.connections))
+
+
 @pytest.mark.parametrize("make", [
     lambda: tri_torus(60, 60),
     lambda: grid_map(2, 600, 0),
@@ -273,8 +279,7 @@ def _joined(values):
 def test_large_maps_write_the_joined_text_and_round_trip(make):
     system = make()
     text = write_flag_text(system)
-    assert text == f"rank {system.rank}\nflags {system.flag_count}\n" + "".join(
-        f"r{i}: {_joined(conn)}\n" for i, conn in enumerate(system.connections))
+    assert text == _text_of(system)
     assert parse_flag_text(text) == system
 
 
@@ -286,3 +291,51 @@ def test_sidecar_and_mapping_rows_are_the_joined_text():
     mapping = is_isomorphic(system, relabeled(system, perm))
     assert mapping is not None
     assert fileio._row(mapping) == _joined(mapping)
+
+
+# --- the digit-table writer ----------------------------------------------
+
+
+# 0, 9, 10, 99, 100, ..., 9,999,999, 10,000,000
+_BOUNDARIES = [0] + [v for k in range(1, 8) for v in (10 ** k - 1, 10 ** k)]
+
+
+def test_rows_at_digit_boundaries_below_ten_million():
+    values = np.array(_BOUNDARIES[:-1])
+    table = fileio._digit_table(int(values.max()))
+    assert table.itemsize == 8
+    for row in (values, values[::-1], np.repeat(values, 2)):
+        assert fileio._row(row, table) == _joined(row)
+    assert fileio._row(values[:3]) == "0 9 10"
+
+
+def test_rows_from_ten_million_take_sixteen_bytes_a_value():
+    values = np.array(_BOUNDARIES + [12_345_678])
+    table = fileio._digit_table(int(values.max()))
+    assert table.itemsize == 16
+    assert fileio._row(values, table) == _joined(values)
+    assert fileio._row(values[::-1], table) == _joined(values[::-1])
+
+
+def test_empty_row_is_empty():
+    empty = np.array([], dtype=np.intp)
+    assert fileio._row(empty) == ""
+    assert fileio._row(empty, fileio._digit_table(7)) == ""
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.integers(0, 10 ** 6), max_size=300), st.integers(0, 10 ** 5))
+def test_row_matches_the_joined_text(values, slack):
+    row = np.array(values, dtype=np.intp)
+    assert fileio._row(row) == _joined(row)
+    top = int(row.max(initial=0)) + slack
+    assert fileio._row(row, fileio._digit_table(top)) == _joined(row)
+
+
+def test_rank_1_and_rank_4_systems_write_the_joined_text():
+    ring = np.arange(24)
+    rank1 = validate(1, 24, [ring ^ 1, (ring + np.where(ring % 2, 1, -1)) % 24])
+    for system in (rank1, cube_maniplex(5)):
+        text = write_flag_text(system)
+        assert text == _text_of(system)
+        assert parse_flag_text(text) == system

@@ -28,7 +28,7 @@ from mapforge import (
     strip_map,
     validate,
 )
-from mapforge.coloring import PSO_KINDS, _cell_route, _orthogonal_group
+from mapforge.coloring import PSO_KINDS, _cell_pass, _cell_route, _orthogonal_group
 from mapforge.errors import Disconnected
 from mapforge.flagsys import _orbits
 
@@ -216,3 +216,65 @@ def test_group_orthogonal_to_cycles_at_rank_63():
     pair = (1 << 5) | (1 << 9)
     cycles = [1 << j for j in range(64) if j not in (5, 9)] + [pair, pair ^ (1 << 63)]
     assert _orthogonal_group(63, cycles).masks == {0, pair}
+
+
+# --- the kernel against its previous body ---------------------------------
+
+
+def _same_orbits(n, edges, flips=None):
+    """_orbits and ref.orbits return bit-identical (root, pot, rounds)."""
+    root, pot, rounds = _orbits(n, edges, flips)
+    want_root, want_pot, want_rounds = ref.orbits(n, edges, flips)
+    assert np.array_equal(root, want_root)
+    assert rounds == want_rounds
+    if want_pot is None:
+        assert pot is None
+    else:
+        assert pot.dtype == want_pot.dtype
+        assert np.array_equal(pot, want_pot)
+
+
+def test_kernel_matches_previous_kernel_on_every_letter_subset():
+    for name, system in CORPUS + RELABELED:
+        n = system.flag_count
+        letters = [(None, c) for c in system.connections]
+        for mask in range(1 << (system.rank + 1)):
+            subset = [j for j in range(system.rank + 1) if mask >> j & 1]
+            _same_orbits(n, [letters[j] for j in subset])
+            _same_orbits(n, [letters[j] for j in subset], [1 << j for j in subset])
+
+
+def test_kernel_matches_previous_kernel_on_cell_graphs():
+    """Groups whose src is an array: the second pass of every cell route."""
+    for name, system in CORPUS + RELABELED:
+        for d in range(system.rank + 1):
+            labels, count, relation, _ = _cell_pass(system, d)
+            edges = [(labels, labels[system.connections[d]])]
+            _same_orbits(count, edges)
+            _same_orbits(count, edges, [relation])
+
+
+def test_kernel_matches_previous_kernel_with_array_flips():
+    """Per-edge masks, equal on both directions, on the first group too."""
+    rng = np.random.default_rng(18)
+    for name, system in CORPUS + RELABELED:
+        letters = [(None, c) for c in system.connections]
+        flips = []
+        for c in system.connections:
+            w = rng.integers(0, 1 << 12, system.flag_count).astype(np.uint16)
+            flips.append(w ^ w[c])
+        _same_orbits(system.flag_count, letters, flips)
+        _same_orbits(system.flag_count, letters[::-1], [1] + flips[1:])
+
+
+def test_kernel_matches_previous_kernel_on_degenerate_input():
+    _same_orbits(5, [])
+    _same_orbits(5, [], [])
+    _same_orbits(1, [])
+    _same_orbits(1, [(None, np.array([0]))])
+    _same_orbits(1, [(None, np.array([0]))], [1])
+    # an involution with fixed points, then a second group
+    first = np.array([0, 2, 1, 3, 5, 4])
+    second = np.array([1, 0, 2, 4, 3, 5])
+    _same_orbits(6, [(None, first), (None, second)])
+    _same_orbits(6, [(None, first), (None, second)], [3, 4])
