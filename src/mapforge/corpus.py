@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import functools
 import json
 import numbers
 import os
@@ -49,7 +50,7 @@ from .construct import (
     _CONFLICT_GOALS,
     _ODD_GOALS,
 )
-from .doubles import i_double, recognize_i_double
+from .doubles import _i_doubles, i_double, recognize_i_double
 from .errors import (
     BadParameters,
     LoopEdge,
@@ -398,17 +399,22 @@ def _check_medial_table(system, rng):
     return None
 
 
-# inside _run_map: (id(system), mask) -> (system, double); holding it pins the id
+# inside _run_map: the map under test, and (id(system), mask) -> (system, double);
+# holding the system pins its id
+_map = None
 _doubles: dict | None = None
 
 
 def _double(system, member):
-    """i_double, built once per (system, color set) among one map's checks."""
+    """i_double, built once per (system, color set) among one map's checks.
+    A miss on the map under test builds its doubles by every color set at once."""
     if _doubles is None:
         return i_double(system, member)
     key = (id(system), member.mask)
     if key not in _doubles:
-        _doubles[key] = system, i_double(system, member)
+        sets = _all_color_sets(system.rank) if system is _map else [member]
+        for cs, result in zip(sets, _i_doubles(system, sets)):
+            _doubles[id(system), cs.mask] = system, result
     return _doubles[key][1]
 
 
@@ -578,19 +584,30 @@ PROPERTY_CHECKS = {
 # --- runner ----------------------------------------------------------
 
 
+class _LazyGenerator:
+    """np.random.default_rng(seed), built on first use: most checks draw nothing."""
+
+    def __init__(self, seed):
+        self._seed = seed
+
+    def __getattr__(self, name):
+        return getattr(self._generator, name)
+
+    _generator = functools.cached_property(lambda self: np.random.default_rng(self._seed))
+
+
 def _run_map(seed, first_index, system, ids):
     """Run every check of one map in order, sharing one memo of its doubles."""
-    global _doubles
-    _doubles, details = {}, []
+    global _doubles, _map
+    _doubles, _map, details = {}, system, []
     try:
         for index, check_id in enumerate(ids, first_index):
-            rng = np.random.default_rng((seed, index))
             try:
-                details.append(PROPERTY_CHECKS[check_id](system, rng))
+                details.append(PROPERTY_CHECKS[check_id](system, _LazyGenerator((seed, index))))
             except Exception as exc:  # one failing check must not abort the run
                 details.append(f"{type(exc).__name__}: {exc}")
     finally:
-        _doubles = None
+        _doubles = _map = None
     return details
 
 

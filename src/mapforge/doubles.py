@@ -4,8 +4,10 @@ The I-double of a flag system lives on two copies of the flag set and
 crosses sheets exactly along connections in I.  It is connected
 precisely when no I-coloring exists downstairs; when a coloring does
 exist the construction falls apart into two copies of the base.
-Quotienting by a sheet-swapping deck involution inverts the
-construction, which is how covers are recognized.
+Doubles by several color sets come from one orbit-kernel pass over
+their disjoint union, whose potentials each connected double keeps as
+its parity pass.  Quotienting by a sheet-swapping deck involution
+inverts the construction, which is how covers are recognized.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .coloring import ColorSet, _as_color_set, find_coloring
 from .errors import (
     BadParameters,
     ConnectionCollision,
-    Disconnected,
     HasFixedPoint,
     NotDeck,
     NotInvolution,
@@ -26,8 +27,8 @@ from .errors import (
     ValidationError,
     VertexBipartite,
 )
-from .flagsys import (
-    FlagSystem, _assemble, _freeze, _isomorphisms, _require_connected, _root_labels, validate)
+from . import flagsys
+from .flagsys import FlagSystem, _assemble, _freeze, _isomorphisms, _root_labels, validate
 
 __all__ = [
     "DoubleResult",
@@ -63,20 +64,40 @@ def i_double(system: FlagSystem, color_set) -> DoubleResult:
     a coloring of the result for the same index set, which is why the
     result's coloring group grows to the closure of T(M) with I.
     """
-    cs = _as_color_set(system, color_set)
-    n = system.flag_count
-    ids = np.arange(2 * n, dtype=np.intp)
-    lifted = [2 * np.repeat(conn, 2) + ((ids & 1) ^ (j in cs))
-              for j, conn in enumerate(system.connections)]
-    # The lift keeps ranges, fixed points, involutions, commuting and
-    # disjointness, so only connectivity is checked: it is the split test.
-    try:
-        _require_connected(lifted)
-    except Disconnected:
-        # the (0, 0) component holds exactly the flags (f, c(f)) for the
-        # I-coloring c with c(0) = 0, so in ascending order it is the input
-        return DoubleResult(split=True, system=system, projection=np.arange(n, dtype=np.intp))
-    return DoubleResult(split=False, system=_assemble(system.rank, lifted), projection=ids // 2)
+    return _i_doubles(system, [_as_color_set(system, color_set)])[0]
+
+
+def _i_doubles(system: FlagSystem, color_sets) -> list[DoubleResult]:
+    """i_double of each color set, from one parity pass over their disjoint union.
+
+    Flag (f, s) of the b-th double is node b*2N + 2f + s, and r_j flips
+    by 1 << j.  Each block keeps its edges and its nodes' order, so the
+    kernel hooks and jumps in it as in a pass of its own.  The lift keeps
+    every axiom but connectivity, so a block with two roots is the split
+    test, and a connected block keeps its potentials as its double's
+    parity pass (FlagSystem._pot).  A pass holds about flagsys._CHUNK
+    entries across letters.
+    """
+    n2 = 2 * system.flag_count
+    ids = np.arange(n2, dtype=np.intp)
+    step = max(1, flagsys._CHUNK // (n2 * (system.rank + 1)))
+    out = []
+    for start in range(0, len(color_sets), step):
+        chunk = color_sets[start:start + step]
+        offsets = np.arange(len(chunk), dtype=np.intp)[:, None] * n2
+        sheets = offsets + (ids & 1)
+        lifted = [(sheets ^ np.array([[j in cs] for cs in chunk])) + 2 * np.repeat(conn, 2)
+                  for j, conn in enumerate(system.connections)]
+        root, pot, _ = flagsys._orbits(len(chunk) * n2, [(None, c.ravel()) for c in lifted],
+                                       [1 << j for j in range(system.rank + 1)])
+        for b, joined in enumerate((root.reshape(-1, n2) == offsets).all(axis=1)):
+            if joined:
+                double = _assemble(system.rank, [c[b] - b * n2 for c in lifted], pot[b * n2:(b + 1) * n2])
+                out.append(DoubleResult(False, double, ids // 2))
+            else:  # the (0, 0) component holds the flags (f, c(f)) for the I-coloring c
+                # with c(0) = 0, so in ascending order it is the input
+                out.append(DoubleResult(True, system, ids[:n2 // 2]))
+    return out
 
 
 def sherk_double(system: FlagSystem) -> FlagSystem:

@@ -114,15 +114,29 @@ def _digit_table(top: int) -> np.ndarray:
     return table.view(f"V{table.shape[1]}")[:, 0]
 
 
+# the largest _digit_table built so far; growing it rebinds the list item,
+# so the module's own attributes stay as they were
+_kept = [_digit_table(0)]
+
+
+def _digits(top: int) -> np.ndarray:
+    """_digit_table(top), sliced from the kept table.  Generated maps stay
+    below the 10**7-flag cap, so it is 8 bytes a value and at most 80 MB; a
+    parsed file of more flags keeps a 16-byte table of its size."""
+    if _kept[0].size <= top:
+        _kept[0] = _digit_table(top)
+    return _kept[0][:top + 1]
+
+
 def _row(values, table=None) -> str:
     """Non-negative integers joined by single spaces, via a _digit_table."""
-    table = _digit_table(int(values.max(initial=0))) if table is None else table
+    table = _digits(int(values.max(initial=0))) if table is None else table
     return table[values].tobytes().translate(None, b"\0")[:-1].decode("ascii")
 
 
 def write_flag_text(system: FlagSystem) -> str:
     """Canonical text form; parse(write(M)) round-trips byte-for-byte."""
-    table = _digit_table(system.flag_count - 1)
+    table = _digits(system.flag_count - 1)
     rows = "".join(f"r{i}: {_row(conn, table)}\n" for i, conn in enumerate(system.connections))
     return f"rank {system.rank}\nflags {system.flag_count}\n{rows}"
 

@@ -20,7 +20,8 @@ for every node the smallest node of its orbit plus its bitmask
 potential relative to that node.  It hooks roots onto smaller
 neighbouring roots and pointer-jumps (Shiloach-Vishkin), so a handful of
 whole-array passes replace one Python step per flag.  A system is
-immutable, so it caches one parity pass (FlagSystem._parity), the
+immutable, so it caches one parity pass (FlagSystem._parity, whose
+potentials an I-double keeps from the pass that built it), the
 coloring group read off it (FlagSystem._group), the transport plan of
 the isomorphism search (FlagSystem._plan), the invariant flag classes
 that is_isomorphic falls back on (FlagSystem._classes) and, per cell
@@ -84,9 +85,15 @@ class FlagSystem:
     connections: tuple[np.ndarray, ...]
 
     @cached_property
+    def _pot(self) -> np.ndarray:
+        """Potentials of one parity pass, flip 1 << j on r_j; _assemble may seed them."""
+        flips = [1 << j for j in range(self.rank + 1)]
+        return _orbits(self.flag_count, [(None, c) for c in self.connections], flips)[1]
+
+    @cached_property
     def _parity(self) -> tuple[np.ndarray, list[int]]:
-        """(pot, cycle basis) of one parity pass over every connection."""
-        return _letter_parity(self, [(None, c) for c in self.connections])
+        """(pot, cycle basis) of that parity pass."""
+        return _letter_parity(self, [(None, c) for c in self.connections], self._pot)
 
     @cached_property
     def _group(self):
@@ -219,10 +226,12 @@ def _cycle_basis(pot: np.ndarray, edges, flips) -> list[int]:
     return basis
 
 
-def _letter_parity(system: FlagSystem, letters) -> tuple[np.ndarray, list[int]]:
-    """(pot, cycle basis) of one _orbits pass over `letters` with flip 1 << j on r_j."""
+def _letter_parity(system: FlagSystem, letters, pot=None) -> tuple[np.ndarray, list[int]]:
+    """(pot, cycle basis) of one _orbits pass over `letters` with flip 1 << j on r_j;
+    a given `pot` stands for the pass."""
     flips = [1 << j for j in range(system.rank + 1)]
-    _, pot, _ = _orbits(system.flag_count, letters, flips)
+    if pot is None:
+        _, pot, _ = _orbits(system.flag_count, letters, flips)
     return pot, _cycle_basis(pot, letters, flips)
 
 
@@ -284,9 +293,13 @@ def _require_connected(conns) -> None:
         raise Disconnected(int(components))
 
 
-def _assemble(rank: int, conns) -> FlagSystem:
-    """The system on `conns`, unchecked: for constructions that provably keep the axioms."""
-    return FlagSystem(rank=rank, connections=tuple(_freeze(c) for c in conns))
+def _assemble(rank: int, conns, pot=None) -> FlagSystem:
+    """The system on `conns`, unchecked: for constructions that provably keep the axioms.
+    `pot`, the potentials of its parity pass when given, seeds FlagSystem._pot."""
+    system = FlagSystem(rank=rank, connections=tuple(_freeze(c) for c in conns))
+    if pot is not None:
+        vars(system)["_pot"] = _freeze(pot, pot.dtype)
+    return system
 
 
 @dataclass(frozen=True)

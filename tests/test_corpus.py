@@ -260,21 +260,39 @@ def test_run_verify_reports_failures_and_dumps(tmp_path, monkeypatch):
     assert reloaded.flag_count == 24
 
 
+def _patch_batches(monkeypatch, spy):
+    """Route every lift, the public i_double's and the memo's batches, through spy."""
+    import mapforge.corpus as corpus
+    import mapforge.doubles as doubles
+
+    real = doubles._i_doubles
+
+    def batched(system, color_sets):
+        results = real(system, color_sets)
+        spy(system, color_sets, results)
+        return results
+
+    monkeypatch.setattr(doubles, "_i_doubles", batched)
+    monkeypatch.setattr(corpus, "_i_doubles", batched)
+
+
 def test_run_verify_builds_each_double_once(monkeypatch):
     """The cover checks of one map share each (system, color set) double."""
-    import mapforge.corpus as corpus
+    built, held, batches = collections.Counter(), [], []
 
-    built, held = collections.Counter(), []
-    real = corpus.i_double
-
-    def counting(system, member):
+    def counting(system, color_sets, results):
         held.append(system)  # no id is reused while the count runs
-        built[id(system), member.mask] += 1
-        return real(system, member)
+        batches.append(len(color_sets))
+        for member in color_sets:
+            built[id(system), member.mask] += 1
 
-    monkeypatch.setattr(corpus, "i_double", counting)
+    _patch_batches(monkeypatch, counting)
     assert run_verify(SMALL_SPEC, emit=lambda line: None)
     assert built and max(built.values()) == 1
+    # one call builds every double of each map under test; a double's own
+    # doubles (saturation's chain, minimality's redouble) come one at a time
+    assert batches.count(8) == len(build_corpus(SMALL_SPEC))
+    assert set(batches) == {1, 8}
     # outside run_verify every request is a fresh double
     system = platonic("cube")
     for check_id in ("dubgp", "double-split"):
@@ -286,23 +304,40 @@ def test_no_double_outlives_its_map(monkeypatch):
     import mapforge.corpus as corpus
 
     doubles = []
-    real = corpus.i_double
 
-    def watched(system, member):
-        result = real(system, member)
-        doubles.append(weakref.ref(result))
-        return result
+    def watched(system, color_sets, results):
+        doubles.extend(weakref.ref(result) for result in results)
 
-    monkeypatch.setattr(corpus, "i_double", watched)
+    _patch_batches(monkeypatch, watched)
     assert run_verify(SMALL_SPEC, emit=lambda line: None)
     gc.collect()
     assert doubles and all(ref() is None for ref in doubles)
-    assert corpus._doubles is None
+    assert corpus._doubles is None and corpus._map is None
 
     doubles.clear()
     assert PROPERTY_CHECKS["dubgp"](platonic("cube"), None) is None
     gc.collect()
     assert len(doubles) == 8 and all(ref() is None for ref in doubles)
+
+
+def test_cell_generators_are_built_on_first_draw(monkeypatch):
+    """Each cell draws the stream of default_rng((seed, index)), and a cell
+    that draws nothing builds no generator."""
+    import mapforge.corpus as corpus
+
+    system, ids = invoke_generator("polygon abAB"), tuple(PROPERTY_CHECKS)
+    want = [PROPERTY_CHECKS[check_id](system, np.random.default_rng((7, index)))
+            for index, check_id in enumerate(ids, 36)]
+    seeds, real = [], np.random.default_rng
+
+    def counting(seed):
+        seeds.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    assert corpus._run_map(7, 36, system, ids) == want
+    drawing = ("shift", "minimality", "recognition", "surgery-chi", "relabel")
+    assert sorted(seeds) == sorted((7, 36 + ids.index(check_id)) for check_id in drawing)
 
 
 def test_a_raising_check_fails_its_cell_and_the_map_goes_on(monkeypatch):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import mapforge.flagsys as flagsys
+import orbit_reference
+from cases import CORPUS, color_sets
 from mapforge import (
     ColorSet,
     DoubleResult,
@@ -36,6 +38,7 @@ from mapforge.errors import (
     RankNotTwo,
     VertexBipartite,
 )
+from mapforge.doubles import _i_doubles
 
 POOL = lambda: [
     platonic("tetrahedron"), platonic("cube"), platonic("octahedron"),
@@ -77,9 +80,11 @@ def test_split_iff_already_colorable():
                 assert result.system.flag_count == system.flag_count
 
 
-def test_double_makes_one_connectivity_pass_and_no_parity_pass(monkeypatch):
+def test_double_makes_one_kernel_pass_and_its_group_none(monkeypatch):
     """The split comes from the lift's connectivity, not from the cached
-    T(M), so double-split and dubgp stay a second route to the group."""
+    T(M), so double-split and dubgp stay a second route to the group; the
+    same pass leaves the double's parity potentials, so its group costs
+    no further pass."""
     calls = []
     kernel = flagsys._orbits
 
@@ -91,9 +96,62 @@ def test_double_makes_one_connectivity_pass_and_no_parity_pass(monkeypatch):
     for system in POOL():
         for mask in range(8):
             calls.clear()
-            i_double(system, ColorSet(2, mask))
+            result = i_double(system, ColorSet(2, mask))
             assert calls == [2 * system.flag_count]
+            if not result.split:
+                coloring_group(result.system)
+                assert calls == [2 * system.flag_count]
         assert "_parity" not in vars(system)
+
+
+def _same_doubles(got, want, where):
+    for cs, a, b in zip(color_sets(where.rank), got, want):
+        assert a.split == b.split, (where, str(cs))
+        assert np.array_equal(a.projection, b.projection), (where, str(cs))
+        assert a.system == b.system, (where, str(cs))
+
+
+def test_batched_lift_matches_the_one_set_reference():
+    for name, system in CORPUS + [("cube-maniplex 5", cube_maniplex(5))]:
+        sets = color_sets(system.rank)
+        got = _i_doubles(system, sets)
+        assert len(got) == len(sets)
+        _same_doubles(got, [orbit_reference.i_double(system, cs) for cs in sets], system)
+        for cs, result in zip(sets, got):
+            if result.split:
+                assert result.system is system, (name, str(cs))
+                continue
+            double = result.system
+            letters = [(None, c) for c in double.connections]
+            fresh = flagsys._letter_parity(double, letters)[0]
+            seeded = vars(double)["_pot"]
+            assert seeded.dtype == fresh.dtype and np.array_equal(seeded, fresh), (name, str(cs))
+
+
+@pytest.mark.parametrize("per_pass", [1, 2, 3, 5])
+def test_batched_lift_in_chunks_matches_one_pass(monkeypatch, per_pass):
+    systems = [platonic("cube"), polygon_gluing("abcaCB"), cube_maniplex(4)]
+    whole = [_i_doubles(system, color_sets(system.rank)) for system in systems]
+    calls = []
+    kernel = flagsys._orbits
+
+    def counting(n, edges, flips=None):
+        calls.append(n)
+        return kernel(n, edges, flips)
+
+    monkeypatch.setattr(flagsys, "_orbits", counting)
+    for system, want in zip(systems, whole):
+        entries = 2 * system.flag_count * (system.rank + 1)
+        monkeypatch.setattr(flagsys, "_CHUNK", per_pass * entries + entries - 1)
+        calls.clear()
+        got = _i_doubles(system, color_sets(system.rank))
+        sets = len(want)
+        assert calls == [2 * system.flag_count * min(per_pass, sets - start)
+                         for start in range(0, sets, per_pass)]
+        _same_doubles(got, want, system)
+        for a, b in zip(got, want):
+            if not a.split:
+                assert np.array_equal(vars(a.system)["_pot"], vars(b.system)["_pot"])
 
 
 def test_split_double_is_isomorphic_to_base():

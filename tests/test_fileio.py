@@ -317,6 +317,18 @@ def test_rows_from_ten_million_take_sixteen_bytes_a_value():
     assert fileio._row(values[::-1], table) == _joined(values[::-1])
 
 
+def test_writes_reuse_the_largest_digit_table(monkeypatch):
+    real, built = fileio._digit_table, []
+    monkeypatch.setattr(fileio, "_kept", [real(0)])
+    monkeypatch.setattr(fileio, "_digit_table", lambda top: built.append(top) or real(top))
+    small, big = cube_maniplex(3), tri_torus(10, 10)
+    for system in (small, big, small, big):
+        assert write_flag_text(system) == _text_of(system)
+    assert fileio._row(np.array([5, 0, 599])) == "5 0 599"
+    assert fileio._digits(9).size == 10
+    assert built == [small.flag_count - 1, big.flag_count - 1]
+
+
 def test_empty_row_is_empty():
     empty = np.array([], dtype=np.intp)
     assert fileio._row(empty) == ""
