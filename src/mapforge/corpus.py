@@ -59,7 +59,9 @@ from .errors import (
 )
 from .fileio import _write_text, parse_flag_text, read_flag_file, write_flag_text
 from .flagsys import (
+    _FILL,
     FlagSystem,
+    _fill_caches,
     _has_odd_cell,
     _orbits,
     cell_labels,
@@ -498,7 +500,7 @@ def _check_recognition(system, rng):
     if found is None:
         return f"failed to recognize the {member}-double"
     _, base, projection = found
-    if is_isomorphic(base, system) is None:
+    if is_isomorphic(system, base) is None:  # system's search plan serves relabel too
         return f"recognized base of the {member}-double is not isomorphic"
     ok, _ = check_projection(cover, base, projection)
     if not ok:
@@ -506,24 +508,46 @@ def _check_recognition(system, rng):
     return None
 
 
+def _grow(system, build, items):
+    """build(system, item) for each item, an exception standing in for its
+    output, so that a check can report the first failure in item order.
+    When system's label passes at every dimension take at most half of
+    one _fill_caches pass (flagsys._FILL nodes), so that its outputs can
+    share passes with it, every output is built first and the caches of
+    system and its outputs are filled together.  A larger system's
+    outputs are built one at a time as the check reaches them, each
+    making its own passes: batched, they measured slower there."""
+    def one(item):
+        try:
+            return build(system, item)
+        except Exception as exc:
+            return exc
+
+    if 2 * (system.rank + 1) * system.flag_count > _FILL:
+        return map(one, items)
+    out = [one(item) for item in items]
+    _fill_caches([system] + [g for g in out if isinstance(g, FlagSystem)])
+    return out
+
+
 def _check_surgery_chi(system, rng):
     if system.rank != 2:
         return None
+    edge = edge_of(system, int(rng.integers(system.flag_count)))
+    surgeries = (("subdivide", subdivide_edge, 4), ("double", double_edge, 4),
+                 ("triple", triple_edge, 8))
+    grown = _grow(system, lambda s, op: op(s, edge), [op for _, op, _ in surgeries])
     signature = surface_signature(system)
-    flag = int(rng.integers(system.flag_count))
-    edge = edge_of(system, flag)
-    for name, op, added in (("subdivide", subdivide_edge, 4),
-                            ("double", double_edge, 4),
-                            ("triple", triple_edge, 8)):
-        try:
-            grown = op(system, edge)
-        except LoopEdge:
+    for (name, _, added), result in zip(surgeries, grown):
+        if isinstance(result, LoopEdge):
             if name != "triple":
                 return f"{name} refused a valid edge"
             continue
-        if grown.flag_count != system.flag_count + added:
-            return f"{name} added {grown.flag_count - system.flag_count} flags"
-        if surface_signature(grown) != signature:
+        if isinstance(result, Exception):
+            raise result
+        if result.flag_count != system.flag_count + added:
+            return f"{name} added {result.flag_count - system.flag_count} flags"
+        if surface_signature(result) != signature:
             return f"{name} changed the surface"
     return None
 
@@ -537,12 +561,14 @@ def _goal_holds(system, goal):
 def _check_make_property(system, rng):
     if system.rank != 2:
         return None
+    grown = _grow(system, make_property, MAKE_GOALS)
     signature = surface_signature(system)
-    for goal in MAKE_GOALS:
-        grown = make_property(system, goal)
-        if not _goal_holds(grown, goal):
+    for goal, result in zip(MAKE_GOALS, grown):
+        if isinstance(result, Exception):
+            raise result
+        if not _goal_holds(result, goal):
             return f"make_property({goal}) postcondition fails"
-        if surface_signature(grown) != signature:
+        if surface_signature(result) != signature:
             return f"make_property({goal}) changed the surface"
     return None
 

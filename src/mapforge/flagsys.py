@@ -27,7 +27,10 @@ the isomorphism search (FlagSystem._plan), the invariant flag classes
 that is_isomorphic falls back on (FlagSystem._classes) and, per cell
 dimension, one label pass (cell_labels) and one cell route
 (coloring._cell_route); pso-oracle compares the two routes at every
-rank.
+rank.  _fill_caches fills the label passes at every dimension and the
+parity passes of many small systems in two kernel calls over their
+disjoint union, up to _FILL nodes a call; verify's surgery-chi and
+make-property checks use it on the maps they grow.
 
 The isomorphism search transports candidate images of flag 0 along a
 BFS tree of the source, one level at a time: each level of the plan
@@ -302,6 +305,54 @@ def _assemble(rank: int, conns, pot=None) -> FlagSystem:
     return system
 
 
+_FILL = 8192  # nodes in one _fill_caches pass, unless one block alone is larger
+
+
+def _fill_caches(systems) -> None:
+    """Fill cell_labels at every dimension and the parity pass (FlagSystem._pot)
+    of every listed system, all of one rank, in few _orbits passes.
+
+    The label passes run over the disjoint union of one copy per missing
+    (system, cell dimension d); copy d takes the letters j != d in order,
+    so each group is an involution over the whole union.  The parity
+    passes run over one copy of each system without one, with flips
+    1 << j.  Each block keeps its edges and its nodes' order, so the
+    kernel hooks and jumps in it as in a pass of its own (see
+    doubles._i_doubles): labels and potentials come out byte for byte as
+    the system's own passes would make them.  Caches already present are
+    kept.  Blocks join a pass in order while it holds at most _FILL
+    nodes, so a few small systems share one label pass and one parity
+    pass, and a system of more than _FILL flags gets passes of its own:
+    a union much larger than that runs slower than its parts.
+    """
+    systems = list({id(s): s for s in systems}.values())
+    if not systems:
+        return
+    rank = systems[0].rank
+    todo = [(s, d) for s in systems for d in range(rank + 1) if d not in s._labels]
+    bare = [(s, None) for s in systems if "_pot" not in vars(s)]
+    passes = []
+    for blocks, flips in ((todo, None), (bare, [1 << j for j in range(rank + 1)])):
+        size = _FILL
+        for block in blocks:
+            if size + block[0].flag_count > _FILL:
+                passes.append(([], flips))
+                size = 0
+            passes[-1][0].append(block)
+            size += block[0].flag_count
+    for blocks, flips in passes:
+        starts = np.cumsum([0] + [s.flag_count for s, _ in blocks])
+        groups = [np.concatenate([s.connections[j + (d is not None and j >= d)] + a
+                                  for (s, d), a in zip(blocks, starts)])
+                  for j in range(rank + (flips is not None))]
+        root, pot, _ = _orbits(int(starts[-1]), [(None, g) for g in groups], flips)
+        for (s, d), a, b in zip(blocks, starts, starts[1:]):
+            if d is None:
+                vars(s)["_pot"] = _freeze(pot[a:b], pot.dtype)
+            else:
+                s._labels[d] = _root_labels(root[a:b] - a)
+
+
 @dataclass(frozen=True)
 class Cell:
     """Orbit of the subgroup omitting r_dimension, i.e. one i-face."""
@@ -389,10 +440,10 @@ def surface_signature(system: FlagSystem) -> SurfaceSignature:
     """Identify the closed surface carrying a rank-2 system."""
     if system.rank != 2:
         raise RankNotTwo(system.rank, "surface_signature")
-    from .coloring import ColorSet, find_coloring
+    from .coloring import ColorSet, coloring_group
 
     chi = euler_characteristic(system)
-    orientable = find_coloring(system, ColorSet.full(2)) is not None
+    orientable = ColorSet.full(2) in coloring_group(system)
     if orientable:
         if chi % 2:
             raise OddCharacteristicOrientable(chi)
