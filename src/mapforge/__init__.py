@@ -6,6 +6,8 @@ two-sheet covers and their recognition, and constructive realization
 of any admissible group on any admissible surface.
 """
 
+import types as _types
+
 from .coloring import (
     ArrowAssignment,
     Coloring,
@@ -73,72 +75,6 @@ from .operators import dual, medial, opposite, petrie
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArrowAssignment",
-    "Cell",
-    "ColorSet",
-    "Coloring",
-    "ColoringGroup",
-    "CorpusSpec",
-    "DEFAULT_GENERATORS",
-    "DoubleResult",
-    "FlagSystem",
-    "GluingWord",
-    "MAKE_GOALS",
-    "MapforgeError",
-    "PLATONIC_NAMES",
-    "PROPERTY_CHECKS",
-    "RotationSystem",
-    "SurfaceSignature",
-    "ValidationError",
-    "all_subgroups",
-    "apply_word",
-    "build_corpus",
-    "build_map_with_group",
-    "cell_labels",
-    "cells",
-    "check_projection",
-    "coloring_group",
-    "coloring_group_excluding_cell",
-    "connected_sum",
-    "crosscap_map",
-    "cube_maniplex",
-    "cycle_consistent",
-    "deck_transformations",
-    "direct_pso",
-    "double_edge",
-    "dual",
-    "edge_of",
-    "euler_characteristic",
-    "find_coloring",
-    "from_rotation_system",
-    "grid_map",
-    "i_double",
-    "i_face_bipartite",
-    "invoke_generator",
-    "is_isomorphic",
-    "is_pseudo_orientable",
-    "is_valid_coloring",
-    "make_property",
-    "medial",
-    "opposite",
-    "parse_flag_text",
-    "petrie",
-    "platonic",
-    "polygon_gluing",
-    "quotient",
-    "random_surgery",
-    "read_flag_file",
-    "recognize_i_double",
-    "run_verify",
-    "sherk_double",
-    "strip_map",
-    "subdivide_edge",
-    "subgroup_closure",
-    "surface_signature",
-    "tri_torus",
-    "triple_edge",
-    "validate",
-    "write_flag_file",
-    "write_flag_text",
-]
+# every public name imported above, modules aside
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _types.ModuleType))

@@ -113,14 +113,14 @@ def cmd_validate(args) -> int:
 def cmd_info(args) -> int:
     system = _read_system(args.file)
     group = coloring_group(system)
-    labels = [cell_labels(system, i) for i in range(system.rank + 1)]
     if system.rank != 2:
         pairs = [("rank", system.rank), ("flags", system.flag_count)]
-        pairs += [(f"cells{i}", count) for i, (_, count) in enumerate(labels)]
+        pairs += [(f"cells{i}", cell_labels(system, i)[1]) for i in range(system.rank + 1)]
         pairs.append(("T", str(group)))
         _report(args, pairs)
         return 0
-    (vertices, nv), (_, ne), (faces, nf) = labels
+    (vertices, nv), (faces, nf) = cell_labels(system, 0), cell_labels(system, 2)
+    ne = system.flag_count // 4  # every rank-2 edge has four flags (see euler_characteristic)
     signature = surface_signature(system)
     chi = signature.euler_characteristic
     if args.json:

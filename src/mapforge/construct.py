@@ -152,7 +152,9 @@ def _polygons(nxt, pairs) -> list[np.ndarray]:
     the next side around its polygon.  Each row (p, q, same) of `pairs`
     glues two sides by r2, start to start and end to end when same is
     true, start to end otherwise.  A side that no pair covers keeps
-    r2 = -1, which validate refuses with OutOfRange.
+    r2 = -1, which validate refuses with OutOfRange.  So every caller
+    validates the result except _glued_polygon, whose pairs cover each
+    side by construction.
     """
     nxt = np.asarray(nxt, dtype=np.intp).ravel()
     p, q, same = np.asarray(pairs, dtype=np.intp).reshape(-1, 3).T
@@ -313,9 +315,19 @@ def polygon_gluing(word) -> FlagSystem:
 
 def _glued_polygon(pairs) -> FlagSystem:
     """polygon_gluing from side pairs (p, q, same_case) covering every side:
-    _polygons with the single polygon's sides 0..L-1 in order."""
+    _polygons with the single polygon's sides 0..L-1 in order.
+
+    It is assembled without validate, since it keeps the axioms by
+    construction.  The pairs, of a GluingWord or built by _crosscap_pairs
+    and strip_map, cover every side exactly once with p != q.  So r2
+    swaps the two flags of side p with the two of side q: a
+    fixed-point-free involution that maps {2p, 2p+1}, the r0 = f ^ 1
+    pair of side p, onto that of q, so it commutes with r0 and never
+    equals it.  r1 follows the cyclic order 0..L-1 of the sides, and
+    one polygon is connected.
+    """
     L = 2 * len(pairs)
-    return validate(2, 2 * L, _polygons((np.arange(L) + 1) % L, pairs))
+    return _assemble(2, _polygons((np.arange(L) + 1) % L, pairs))
 
 
 def _crosscap_pairs(start: int, count: int) -> list[tuple[int, int, bool]]:

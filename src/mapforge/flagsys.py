@@ -403,11 +403,15 @@ def cells(system: FlagSystem, i: int) -> list[Cell]:
 
 
 def euler_characteristic(system: FlagSystem) -> int:
-    """V - E + F for a rank-2 system."""
+    """V - E + F for a rank-2 system.
+
+    E is read as N // 4 without a label pass: r0 and r2 are commuting,
+    fixed-point-free and disjoint involutions, so every edge, an orbit
+    of <r0, r2>, has exactly four flags.
+    """
     if system.rank != 2:
         raise RankNotTwo(system.rank, "euler_characteristic")
-    counts = [cell_labels(system, i)[1] for i in (0, 1, 2)]
-    return counts[0] - counts[1] + counts[2]
+    return cell_labels(system, 0)[1] - system.flag_count // 4 + cell_labels(system, 2)[1]
 
 
 @dataclass(frozen=True)

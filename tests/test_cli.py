@@ -182,7 +182,8 @@ def test_info_on_the_default_corpus(run, tmp_path, name, system):
 def test_info_makes_one_parity_pass_and_one_label_pass_per_dimension(
         run, cube_file, monkeypatch):
     """surface_signature reuses info's labels and coloring_group's parity
-    pass: 3 label passes plus 1 parity pass on a parsed rank-2 map."""
+    pass, and edges are counted as flags // 4: 2 label passes plus 1
+    parity pass on a parsed rank-2 map."""
     system = platonic("cube")
     monkeypatch.setattr(cli, "_read_system", lambda path: system)
     calls = []
@@ -197,7 +198,38 @@ def test_info_makes_one_parity_pass_and_one_label_pass_per_dimension(
     code, out, _ = run("info", cube_file)
     assert code == 0
     assert "V=8 E=12 F=6 chi=2 surface=o0 T=e,0,12,012" in out
-    assert len(calls) <= 4
+    assert len(calls) <= 3
+
+
+# info lines of a few corpus maps, recorded with one label pass per
+# dimension, so they also check the rank-2 edge count flags // 4
+INFO_PINS = {
+    "polygon aa": ["rank=2", "flags=4", "V=1 E=1 F=1 chi=1 surface=n1 T=e,01,02,12",
+                   "vertex_degrees=2:1", "face_degrees=2:1"],
+    "crosscap 3 +3s": ["rank=2", "flags=24", "V=3 E=6 F=2 chi=-1 surface=n3 T=e",
+                       "vertex_degrees=2:2,8:1", "face_degrees=3:1,9:1"],
+    "strip 2 1 0 +3s": ["rank=2", "flags=24", "V=4 E=6 F=1 chi=-1 surface=n3 T=e",
+                        "vertex_degrees=2:3,6:1", "face_degrees=12:1"],
+    "grid 5 7 3 +3s": ["rank=2", "flags=296", "V=34 E=74 F=37 chi=-3 surface=n5 T=e",
+                       "vertex_degrees=2:2,4:29,6:2,16:1", "face_degrees=2:2,4:31,5:4"],
+    "tri-torus 2 3 +3s": ["rank=2", "flags=92", "V=6 E=23 F=17 chi=0 surface=o1 T=e,012",
+                          "vertex_degrees=6:2,7:1,8:1,9:1,10:1", "face_degrees=2:5,3:12"],
+    "icosahedron +3s": ["rank=2", "flags=136", "V=13 E=34 F=23 chi=2 surface=o0 T=e,012",
+                        "vertex_degrees=2:1,5:9,6:1,7:1,8:1", "face_degrees=2:3,3:18,4:2"],
+    "polygon abABcdCD +3s": ["rank=2", "flags=28", "V=3 E=7 F=2 chi=-2 surface=o2 T=e,012",
+                             "vertex_degrees=2:2,10:1", "face_degrees=2:1,12:1"],
+    "cube-maniplex 4": ["rank=3", "flags=384", "cells0=16", "cells1=32", "cells2=24",
+                        "cells3=8", "T=e,0,123,0123"],
+}
+
+
+@pytest.mark.parametrize("name", INFO_PINS)
+def test_info_lines_of_corpus_maps_are_pinned(run, tmp_path, name):
+    path = tmp_path / "map.flags"
+    write_flag_file(dict(CORPUS)[name], str(path))
+    code, out, _ = run("info", str(path))
+    assert code == 0
+    assert out.splitlines() == INFO_PINS[name]
 
 
 def test_info_reads_stdin(run, monkeypatch):
