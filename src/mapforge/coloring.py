@@ -20,6 +20,7 @@ Both handle rank up to 63.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -188,12 +189,21 @@ class ColoringGroup:
 
 
 def subgroup_closure(rank: int, sets) -> ColoringGroup:
-    """Smallest Delta-closed family containing the given color sets."""
+    """Smallest Delta-closed family containing the given color sets.
+
+    Each (rank, family) gets one shared ColoringGroup, so the O(|G|^2)
+    closure check in its __post_init__ runs once per distinct group.
+    """
     masks = {0}
     for s in sets:
         m = s.mask if isinstance(s, ColorSet) else int(s)
         masks |= {m ^ old for old in masks}
-    return ColoringGroup(rank=rank, masks=frozenset(masks))
+    return _shared_group(rank, frozenset(masks))
+
+
+@cache
+def _shared_group(rank: int, masks: frozenset[int]) -> ColoringGroup:
+    return ColoringGroup(rank=rank, masks=masks)
 
 
 def all_subgroups(rank: int) -> list[ColoringGroup]:
@@ -358,13 +368,17 @@ PSO_KINDS = {
 
 
 def _cell_pass(system: FlagSystem, dim: int):
-    """(labels, count, relation, cycle basis arguments) of _cell_route's pass one."""
+    """(labels, count, relation, cycle basis arguments) of _cell_route's pass one.
+
+    Its roots are those of cell_labels(system, dim), since flips never steer
+    the kernel's hooks, so a missing cell_labels entry is stored from it.
+    """
     if (dim, 1) not in system._routes:
         letters = [(None, c) for j, c in enumerate(system.connections) if j != dim]
         flips = [1 << j for j in range(system.rank + 1) if j != dim]
         root, ref, _ = _orbits(system.flag_count, letters, flips)
         ref = ref.astype(np.min_scalar_type(1 << system.rank), copy=False)  # room for 1 << dim
-        labels, count = _root_labels(root)
+        labels, count = system._labels.setdefault(dim, _root_labels(root))
         relation = (1 << dim) ^ ref ^ ref[system.connections[dim]]
         system._routes[dim, 1] = labels, count, relation, (ref, letters, flips)
     return system._routes[dim, 1]

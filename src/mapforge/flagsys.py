@@ -35,12 +35,16 @@ make-property checks use it on the maps they grow.
 The isomorphism search transports candidate images of flag 0 along a
 BFS tree of the source, one level at a time: each level of the plan
 is one gather from the concatenated target connections for a whole
-block of candidates.  is_isomorphic tries the first candidate alone
-and then one block; past that it compares the histograms of the flag
-classes, cycle lengths of five words (_flag_classes), and tries only
-the candidates that send the rarest class onto its own.  A pair of
-maps with equal histograms and large classes, such as two
-flag-transitive maps that are not isomorphic, still costs Theta(N^2).
+block of candidates.  The plan (_transport_plan) comes from one Python
+pass over the connections as lists below N * (rank + 1) = _LISTED_PLAN,
+about 430 flags at rank 2 where the two builders cross, and from a
+numpy level loop above it; both give the same arrays.  is_isomorphic
+tries the first candidate alone and then one block; past that it
+compares the histograms of the flag classes, cycle lengths of five
+words (_flag_classes), and tries only the candidates that send the
+rarest class onto its own.  A pair of maps with equal histograms and
+large classes, such as two flag-transitive maps that are not
+isomorphic, still costs Theta(N^2).
 """
 
 from __future__ import annotations
@@ -468,21 +472,81 @@ def apply_word(system: FlagSystem, flag: int, word) -> int:
     return f
 
 
+_LISTED_PLAN = 1280  # N * (rank + 1) below which _transport_plan walks Python lists
+
+
 def _transport_plan(system: FlagSystem):
     """Level-synchronous BFS of the flag graph from flag 0, as a plan for
     filling a transport table whose rows follow the BFS discovery order.
 
-    Returns (row, levels, checks) with read-only arrays.  row[f] is the
-    table row of flag f; flag 0 has row 0.  levels lists (rows, parents,
-    offsets), one per BFS level, each level taking the letters in turn:
-    the flags in the row slice `rows` are reached across r_j from the
-    flags in rows `parents`, and offsets holds j * N, the start of r_j
-    in the concatenated connections of a target, as a column.  A flag
-    keeps the first letter that reaches it.  checks lists (rows, ends, j)
-    for every letter j: each edge {f, f . r_j} outside the spanning tree
-    appears once, as the row of its smaller flag f (in ascending order)
-    and the row of f . r_j.
+    Returns (row, levels, checks) with read-only intp arrays.  row[f] is
+    the table row of flag f; flag 0 has row 0.  levels lists (rows,
+    parents, offsets), one per BFS level, each level taking the letters
+    in turn: the flags in the row slice `rows` are reached across r_j
+    from the flags in rows `parents`, and offsets holds j * N, the start
+    of r_j in the concatenated connections of a target, as a column.  A
+    flag keeps the first letter that reaches it.  checks lists (rows,
+    ends, j) for every letter j: each edge {f, f . r_j} outside the
+    spanning tree appears once, as the row of its smaller flag f (in
+    ascending order) and the row of f . r_j.
+
+    Two builders give the same arrays.  _plan_by_lists walks the
+    connections as Python lists in one pass; _plan_by_arrays makes about
+    19 numpy calls per level and 60 more for the rest.  The lists serve
+    below N * (rank + 1) = _LISTED_PLAN and the arrays from there on.
+    Measured on one core of a Xeon VM, the two cross at N * (rank + 1)
+    of about 1,250-1,450 (420-480 flags at rank 2, about 350 at rank 3):
+    a 48-flag cube takes 49 us by lists and 136 by arrays, tri-torus 8 8
+    (768 flags) 490 and 373, tri-torus 30 30 8.4 ms and 1.6.
     """
+    small = system.flag_count * (system.rank + 1) < _LISTED_PLAN
+    row, parents, steps, starts, checks = (_plan_by_lists if small else _plan_by_arrays)(system)
+    parents, steps = _freeze(parents), _freeze(steps)
+    levels = tuple((slice(a, b), parents[a - 1:b - 1], steps[a - 1:b - 1, None])
+                   for a, b in zip(starts[1:-1], starts[2:]))
+    return _freeze(row), levels, tuple((_freeze(r), _freeze(e), j) for j, (r, e) in enumerate(checks))
+
+
+def _plan_by_lists(system: FlagSystem):
+    """_transport_plan's (row, parents, steps, starts, checks) from one Python
+    pass: parents and steps hold, for each row from 1 on, the row of the flag's
+    parent and j * N for its letter j; starts holds the first row of each level
+    and then N; checks holds (rows, ends) per letter."""
+    n = system.flag_count
+    conns = [c.tolist() for c in system.connections]
+    via = [-1] * n  # the letter that reached each flag first; flag 0 matches none
+    via[0] = len(conns)
+    order, parents, steps, starts = [0], [], [], [0]
+    while starts[-1] < len(order):
+        lo, hi = starts[-1], len(order)
+        for j, conn in enumerate(conns):
+            step = j * n
+            for r in range(lo, hi):
+                g = conn[order[r]]
+                if via[g] < 0:
+                    via[g] = j
+                    order.append(g)
+                    parents.append(r)
+                    steps.append(step)
+        starts.append(hi)
+    row = [0] * n
+    for r, f in enumerate(order):
+        row[f] = r
+    checks = []
+    for j, conn in enumerate(conns):
+        rows, ends = [], []
+        for r, f in enumerate(order):
+            g = conn[f]
+            if f < g and via[f] != j and via[g] != j:
+                rows.append(r)
+                ends.append(row[g])
+        checks.append((rows, ends))
+    return row, parents, steps, starts, checks
+
+
+def _plan_by_arrays(system: FlagSystem):
+    """_plan_by_lists's result from one numpy level loop: each level gathers
+    every letter's images of the whole frontier at once."""
     n, rank = system.flag_count, system.rank
     unseen = np.ones(n, dtype=bool)
     unseen[0] = False
@@ -503,10 +567,7 @@ def _transport_plan(system: FlagSystem):
         frontier = np.concatenate(level)
     order = np.concatenate(found)
     offsets = np.arange(0, (rank + 1) * n, n, dtype=np.intp)
-    steps = _freeze(np.repeat(np.tile(offsets, len(starts) - 1), [f.size for f in found[1:]]))
-    parents = _freeze(np.concatenate(parents))
-    levels = tuple((slice(a, b), parents[a - 1:b - 1], steps[a - 1:b - 1, None])
-                   for a, b in zip(starts[1:-1], starts[2:]))
+    steps = np.repeat(np.tile(offsets, len(starts) - 1), [f.size for f in found[1:]])
     row = np.zeros(n, dtype=np.intp)
     row[order] = np.arange(n)
     # tree[j * N + g]: g was reached across r_j from its parent
@@ -516,8 +577,8 @@ def _transport_plan(system: FlagSystem):
     for j, conn in enumerate(system.connections):
         image = conn[order]
         keep = (order < image) & ~tree[offsets[j] + order] & ~tree[offsets[j] + image]
-        checks.append((_freeze(keep.nonzero()[0]), _freeze(row[image[keep]]), j))
-    return _freeze(row), levels, tuple(checks)
+        checks.append((keep.nonzero()[0], row[image[keep]]))
+    return row, np.concatenate(parents), steps, starts, checks
 
 
 _CHUNK = 4_000_000

@@ -137,7 +137,7 @@ def test_euler_characteristic_makes_no_edge_label_pass():
 
 def test_one_realization_pass_validates_only_the_grid_seeds(monkeypatch):
     """320 (group, surface) calls, 169 of which build a map: 18 validate
-    calls, each from _square_complex behind the {0,2} grids, and 805
+    calls, each from _square_complex behind the {0,2} grids, and 781
     kernel calls, none of them an edge label pass."""
     kernel, check = flagsys._orbits, flagsys.validate
     orbits, callers = [], []
@@ -156,4 +156,4 @@ def test_one_realization_pass_validates_only_the_grid_seeds(monkeypatch):
         monkeypatch.setattr(module, "validate", counted_validate)
     assert len(_built()) == 169
     assert callers == ["_square_complex"] * 18
-    assert len(orbits) == 805
+    assert len(orbits) == 781

@@ -4,7 +4,9 @@ isomorphism_reference.
 
 Maps: the default corpus (cube-maniplex 4 is its rank-3 member), every
 I-double of it, a seeded relabeling of each, and a relabeled
-grid 2 600 0, whose BFS from flag 0 is a thousand levels deep.
+grid 2 600 0, whose BFS from flag 0 is a thousand levels deep.  The
+two builders of the transport plan, Python lists below the cutover and
+numpy levels above it, must give the same arrays.
 """
 
 import pickle
@@ -28,6 +30,7 @@ from mapforge import (
     recognize_i_double,
     surface_signature,
     tri_torus,
+    validate,
 )
 from mapforge.cli import main
 from mapforge.corpus import invoke_generator, random_surgery
@@ -194,7 +197,12 @@ def _bfs_distances(system):
 
 
 def test_transport_plan_is_level_synchronous():
-    system = tri_torus(30, 30)
+    # one map above the lists-or-arrays cutover and one below it
+    for system in (tri_torus(30, 30), tri_torus(3, 4)):
+        _check_level_synchronous(system)
+
+
+def _check_level_synchronous(system):
     n = system.flag_count
     row, levels, checks = _transport_plan(system)
     dist = _bfs_distances(system)
@@ -325,18 +333,69 @@ def _plan_lists(plan):
             [(j, rows.tolist(), ends.tolist()) for rows, ends, j in checks])
 
 
+def _plan_arrays(plan):
+    row, levels, checks = plan
+    return ([row] + [a for _, parents, offsets in levels for a in (parents, offsets)]
+            + [a for rows, ends, _ in checks for a in (rows, ends)])
+
+
 def test_cached_plan_is_read_only_and_not_pickled():
-    for system in CORPUS:
-        row, levels, checks = system._plan
+    large = tri_torus(30, 30)  # planned by arrays; the corpus maps by lists
+    for system in CORPUS + [large]:
         assert system._plan is system._plan
         assert _plan_lists(system._plan) == _plan_lists(_transport_plan(system))
-        arrays = [row] + [a for _, parents, offsets in levels for a in (parents, offsets)]
-        arrays += [a for rows, ends, _ in checks for a in (rows, ends)]
-        assert all(not a.flags.writeable for a in arrays)
-    system = CORPUS[1]
-    copy = pickle.loads(pickle.dumps(system))
-    assert "_plan" in vars(system) and "_plan" not in vars(copy)
-    assert _plan_lists(copy._plan) == _plan_lists(system._plan)
+        assert all(not a.flags.writeable for a in _plan_arrays(system._plan))
+    for system in (CORPUS[1], large):
+        copy = pickle.loads(pickle.dumps(system))
+        assert "_plan" in vars(system) and "_plan" not in vars(copy)
+        assert _plan_lists(copy._plan) == _plan_lists(system._plan)
+
+
+def _rank1_polygon(p):
+    """The p-gon as a rank-1 system: 2p flags around one ring."""
+    ring = np.arange(2 * p)
+    return validate(1, 2 * p, [ring ^ 1, (ring + np.where(ring % 2, 1, -1)) % (2 * p)])
+
+
+def _both_plans(monkeypatch, system):
+    """_transport_plan of `system` by arrays and then by lists."""
+    plans = []
+    for cutover in (0, 1 << 62):
+        monkeypatch.setattr(flagsys, "_LISTED_PLAN", cutover)
+        plans.append(_transport_plan(system))
+    monkeypatch.undo()
+    return plans
+
+
+def _plan_sides():
+    """Two maps of rank 2 just below and just above the cutover."""
+    return invoke_generator("tri-torus 5 6"), invoke_generator("tri-torus 6 6")
+
+
+def test_both_plan_builders_give_the_same_arrays(monkeypatch):
+    below, above = _plan_sides()
+    extra = [invoke_generator(name) for name in ("crosscap 40", "cube-maniplex 4", "cube-maniplex 5")]
+    systems = CORPUS + COVERS + extra + [_rank1_polygon(7), below, above]
+    assert len(CORPUS + COVERS) == 345
+    for system in systems:
+        by_arrays, by_lists = _both_plans(monkeypatch, system)
+        assert _plan_lists(by_lists) == _plan_lists(by_arrays)
+        for plan in (by_arrays, by_lists):
+            arrays = _plan_arrays(plan)
+            assert all(a.dtype == np.intp and not a.flags.writeable for a in arrays)
+            assert all(offsets.shape == (rows.stop - rows.start, 1) for rows, _, offsets in plan[1])
+
+
+def test_plan_builder_follows_the_cutover(monkeypatch):
+    below, above = _plan_sides()
+    assert below.flag_count * 3 < flagsys._LISTED_PLAN <= above.flag_count * 3
+    used = []
+    for name in ("_plan_by_lists", "_plan_by_arrays"):
+        build = getattr(flagsys, name)
+        monkeypatch.setattr(flagsys, name, lambda s, build=build, name=name: used.append(name) or build(s))
+    _transport_plan(below)
+    _transport_plan(above)
+    assert used == ["_plan_by_lists", "_plan_by_arrays"]
 
 
 def test_returned_isomorphisms_are_read_only_copies():

@@ -1,25 +1,32 @@
 """The parity and label caches on FlagSystem.
 
 Every coloring question reads one cached parity pass and every cell
-question one cached label pass per dimension.  Answers must not depend
-on which questions came first, on which of two equal systems they were
-asked, or on a pickle round trip, and cached arrays must stay read-only.
+question one cached label pass per dimension, which the cell route's
+first pass fills when it comes first.  Answers must not depend on which
+questions came first, on which of two equal systems they were asked, or
+on a pickle round trip, and cached arrays must stay read-only.  Each
+distinct coloring group is one shared object.
 """
 
+import dataclasses
 import pickle
 
 import numpy as np
 import pytest
 
+import mapforge.flagsys as flagsys
 import orbit_reference as ref
 from cases import CORPUS, DOUBLES, color_sets
 from mapforge import (
+    ColoringGroup,
     cell_labels,
     coloring_group,
     find_coloring,
     platonic,
+    subgroup_closure,
     validate,
 )
+from mapforge.coloring import _cell_pass, _shared_group
 
 def _twin(system):
     """An equal system sharing no arrays and no caches with `system`."""
@@ -70,6 +77,56 @@ def test_coloring_group_is_derived_once():
     """The group is kept beside the parity pass, not re-derived per call."""
     system = _twin(platonic("cube"))
     assert coloring_group(system) is coloring_group(system)
+
+
+def test_each_coloring_group_is_built_once(monkeypatch):
+    """Equal groups of different systems are one frozen object, whose
+    closure check ran once."""
+    checked = []
+    check = ColoringGroup.__post_init__
+
+    def counted(group):
+        checked.append((group.rank, group.masks))
+        check(group)
+
+    systems = [(name, _twin(system), ref.coloring_group(system).masks)
+               for name, system in CORPUS + DOUBLES]
+    _shared_group.cache_clear()
+    monkeypatch.setattr(ColoringGroup, "__post_init__", counted)
+    groups = {}
+    for name, system, want in systems:
+        group = coloring_group(system)
+        assert groups.setdefault((group.rank, group.masks), group) is group, name
+        assert group.masks == want, name
+    assert len(checked) == len(groups) > 1 and set(checked) == set(groups)
+    assert subgroup_closure(2, [1, 2]) is subgroup_closure(2, [3, 1, 2])
+    assert subgroup_closure(2, [1, 2]) is not subgroup_closure(3, [1, 2])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        subgroup_closure(2, [1]).masks = frozenset({0})
+
+
+def test_cell_route_fills_the_label_cache(monkeypatch):
+    """After the cell route's first pass, cell_labels runs no kernel pass
+    and equals a fresh one; a label pass made first is kept."""
+    kernel = flagsys._orbits
+    passes = []
+
+    def counted(n, edges, flips=None):
+        passes.append(n)
+        return kernel(n, edges, flips)
+
+    for name, system in CORPUS + DOUBLES:
+        routed, fresh = _twin(system), _twin(system)
+        for d in range(system.rank + 1):
+            _cell_pass(routed, d)
+            monkeypatch.setattr(flagsys, "_orbits", counted)
+            labels, count = cell_labels(routed, d)
+            monkeypatch.undo()
+            assert not passes, (name, d)
+            want, want_count = cell_labels(fresh, d)
+            assert count == want_count and np.array_equal(labels, want), (name, d)
+            assert labels.dtype == want.dtype and not labels.flags.writeable, (name, d)
+            assert _cell_pass(fresh, d)[0] is want, (name, d)
 
 
 @pytest.mark.parametrize("name,system", CORPUS[::9], ids=lambda v: v if isinstance(v, str) else "")
