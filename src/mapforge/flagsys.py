@@ -27,10 +27,10 @@ the isomorphism search (FlagSystem._plan), the invariant flag classes
 that is_isomorphic falls back on (FlagSystem._classes) and, per cell
 dimension, one label pass (cell_labels) and one cell route
 (coloring._cell_route); pso-oracle compares the two routes at every
-rank.  _fill_caches fills the label passes at every dimension and the
-parity passes of many small systems in two kernel calls over their
-disjoint union, up to _FILL nodes a call; verify's surgery-chi and
-make-property checks use it on the maps they grow.
+rank.  _fill_caches fills the label passes at dimensions 0 and rank and
+the parity pass with its basis of many small systems in two kernel calls
+over their disjoint union, up to _FILL nodes a call: all that verify's
+surgery-chi and make-property checks read of the maps they grow.
 
 The isomorphism search transports candidate images of flag 0 along a
 BFS tree of the source, one level at a time: each level of the plan
@@ -93,9 +93,10 @@ class FlagSystem:
 
     @cached_property
     def _pot(self) -> np.ndarray:
-        """Potentials of one parity pass, flip 1 << j on r_j; _assemble may seed them."""
+        """Read-only potentials of one parity pass, flip 1 << j on r_j; may be seeded."""
         flips = [1 << j for j in range(self.rank + 1)]
-        return _orbits(self.flag_count, [(None, c) for c in self.connections], flips)[1]
+        pot = _orbits(self.flag_count, [(None, c) for c in self.connections], flips)[1]
+        return _freeze(pot, pot.dtype)
 
     @cached_property
     def _parity(self) -> tuple[np.ndarray, list[int]]:
@@ -164,7 +165,9 @@ def _orbits(n: int, edges, flips=None):
     its potential from one witness edge, then pointer jumping runs until
     each node points at its root, XOR-ing potentials along every jump.
     Sweeps repeat until one hooks nothing.  Potentials use the narrowest
-    unsigned dtype that holds every flip, up to 64 bits.
+    unsigned dtype that holds every flip, up to 64 bits.  Over a disjoint
+    union, a block that keeps its edges and its nodes' order gets the roots,
+    shifted by its first node, and the potentials of a pass of its own.
 
     Returns (root, pot, rounds): root[x] is the smallest node of x's
     orbit, pot is None without flips, and rounds counts the sweeps that
@@ -218,19 +221,24 @@ def _cycle_basis(pot: np.ndarray, edges, flips) -> list[int]:
 
     After _orbits these masks are the XOR sums of flips around cycles of
     the edge graph and span its whole cycle space, so the basis is empty
-    exactly when the relations are consistent.  Each basis mask clears
-    its highest bit from every later residual.
+    exactly when the relations are consistent.
     """
     basis: list[int] = []
     for (src, dst), w in zip(edges, flips):
         res = (pot if src is None else pot[src]) ^ pot[dst]
         res ^= w
-        for c in basis:
-            res ^= (res >> (c.bit_length() - 1) & 1) * c
-        while c := int(res.max(initial=0)):
-            basis.append(c)
-            res ^= (res >> (c.bit_length() - 1) & 1) * c
+        _extend_basis(basis, res)
     return basis
+
+
+def _extend_basis(basis: list[int], res: np.ndarray) -> None:
+    """Extend `basis` by the masks in `res`, which it overwrites: each basis mask
+    clears its highest bit from every residual; the largest left joins the basis."""
+    for c in basis:
+        res ^= (res >> (c.bit_length() - 1) & 1) * c
+    while c := int(res.max(initial=0)):
+        basis.append(c)
+        res ^= (res >> (c.bit_length() - 1) & 1) * c
 
 
 def _letter_parity(system: FlagSystem, letters, pot=None) -> tuple[np.ndarray, list[int]]:
@@ -313,27 +321,24 @@ _FILL = 8192  # nodes in one _fill_caches pass, unless one block alone is larger
 
 
 def _fill_caches(systems) -> None:
-    """Fill cell_labels at every dimension and the parity pass (FlagSystem._pot)
-    of every listed system, all of one rank, in few _orbits passes.
-
-    The label passes run over the disjoint union of one copy per missing
-    (system, cell dimension d); copy d takes the letters j != d in order,
-    so each group is an involution over the whole union.  The parity
-    passes run over one copy of each system without one, with flips
-    1 << j.  Each block keeps its edges and its nodes' order, so the
-    kernel hooks and jumps in it as in a pass of its own (see
-    doubles._i_doubles): labels and potentials come out byte for byte as
-    the system's own passes would make them.  Caches already present are
-    kept.  Blocks join a pass in order while it holds at most _FILL
-    nodes, so a few small systems share one label pass and one parity
-    pass, and a system of more than _FILL flags gets passes of its own:
-    a union much larger than that runs slower than its parts.
+    """Fill cell_labels at dimensions 0 and rank and the parity pass with its
+    cycle basis (FlagSystem._parity) of every listed system, all of one rank,
+    in _orbits passes over disjoint unions: one block per missing (system,
+    dimension d), with the letters j != d in order, or per system without
+    potentials, with flips 1 << j.  Each block comes out byte for byte as a
+    pass of its own (see _orbits).  One cumsum numbers a label pass's roots;
+    a block's first node is a root.  A basis reduces, letter by letter, its
+    block's row of one mask table (blocks x 2^(rank+1)) while the table is
+    no larger than the pass, else the block's masks themselves.  Caches
+    present are kept; other dimensions stay lazy.  Blocks join a pass in
+    order while it holds at most _FILL nodes; a system of more than _FILL
+    flags gets passes of its own, as a much larger union runs slower.
     """
     systems = list({id(s): s for s in systems}.values())
     if not systems:
         return
     rank = systems[0].rank
-    todo = [(s, d) for s in systems for d in range(rank + 1) if d not in s._labels]
+    todo = [(s, d) for s in systems for d in (0, rank) if d not in s._labels]
     bare = [(s, None) for s in systems if "_pot" not in vars(s)]
     passes = []
     for blocks, flips in ((todo, None), (bare, [1 << j for j in range(rank + 1)])):
@@ -345,16 +350,36 @@ def _fill_caches(systems) -> None:
             passes[-1][0].append(block)
             size += block[0].flag_count
     for blocks, flips in passes:
-        starts = np.cumsum([0] + [s.flag_count for s, _ in blocks])
-        groups = [np.concatenate([s.connections[j + (d is not None and j >= d)] + a
-                                  for (s, d), a in zip(blocks, starts)])
-                  for j in range(rank + (flips is not None))]
+        sizes = [s.flag_count for s, _ in blocks]
+        starts = np.cumsum([0] + sizes)
+        shift = np.repeat(starts[:-1], sizes)
+        groups = [np.concatenate([s.connections[j + (d is not None and j >= d)] for s, d in blocks])
+                  + shift for j in range(rank + (flips is not None))]
         root, pot, _ = _orbits(int(starts[-1]), [(None, g) for g in groups], flips)
-        for (s, d), a, b in zip(blocks, starts, starts[1:]):
-            if d is None:
-                vars(s)["_pot"] = _freeze(pot[a:b], pot.dtype)
-            else:
-                s._labels[d] = _root_labels(root[a:b] - a)
+        if flips is None:
+            number = np.cumsum(root == np.arange(root.size)) - 1
+            labels = _freeze(number[root] - number[shift])
+            for (s, d), a, b in zip(blocks, starts, starts[1:]):
+                s._labels[d] = labels[a:b], int(number[b - 1] - number[a]) + 1
+            continue
+        pot.setflags(write=False)
+        bases, width = [[] for _ in blocks], 1 << (rank + 1)
+        block = np.repeat(np.arange(len(blocks)), sizes)
+        for g, w in zip(groups, flips):
+            res = pot ^ pot[g]
+            res ^= w
+            if len(blocks) * width > pot.size:
+                for basis, part in zip(bases, np.split(res, starts[1:-1])):
+                    _extend_basis(basis, part)
+                continue
+            seen = np.zeros((len(blocks), width), dtype=bool)
+            seen[block, res] = True
+            # a row that holds mask 0 alone adds nothing to its basis
+            for b in np.flatnonzero(seen[:, 1:].any(axis=1)).tolist():
+                _extend_basis(bases[b], np.flatnonzero(seen[b]))
+        for (s, _), a, b, basis in zip(blocks, starts, starts[1:], bases):
+            vars(s)["_pot"] = pot[a:b]
+            vars(s)["_parity"] = vars(s)["_pot"], basis
 
 
 @dataclass(frozen=True)
@@ -378,8 +403,11 @@ def cell_labels(system: FlagSystem, omit: int) -> tuple[np.ndarray, int]:
 
     Cells are numbered 0.. in order of their smallest contained flag.
     Returns (labels array, cell count), cached on the system; labels are read-only.
+    A dimension outside 0..rank raises BadParameters.
     """
     if omit not in system._labels:
+        if not 0 <= omit <= system.rank:
+            raise BadParameters(f"cell dimension {omit} out of range 0..{system.rank}")
         letters = [(None, c) for i, c in enumerate(system.connections) if i != omit]
         system._labels[omit] = _root_labels(_orbits(system.flag_count, letters)[0])
     return system._labels[omit]
@@ -398,8 +426,6 @@ def _has_odd_cell(labels: np.ndarray) -> bool:
 
 def cells(system: FlagSystem, i: int) -> list[Cell]:
     """All dimension-i cells, numbered by smallest contained flag."""
-    if not 0 <= i <= system.rank:
-        raise BadParameters(f"cell dimension {i} out of range 0..{system.rank}")
     labels, count = cell_labels(system, i)
     order = np.argsort(labels, kind="stable")
     ends = np.cumsum(np.bincount(labels, minlength=count))[:-1]

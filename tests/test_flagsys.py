@@ -77,6 +77,15 @@ def test_validate_not_disjoint():
         validate(2, 4, (r0, [3, 2, 1, 0], r0))
 
 
+@pytest.mark.parametrize("dim", [-1, 3, 5])
+def test_a_cell_dimension_out_of_range_raises_and_is_not_cached(dim):
+    cube = platonic("cube")
+    for ask in (cell_labels, cells):
+        with pytest.raises(BadParameters, match=rf"cell dimension {dim} out of range 0\.\.2"):
+            ask(cube, dim)
+    assert dim not in cube._labels
+
+
 def test_validate_disconnected():
     double = [np.concatenate([np.array(c), np.array(c) + 4]) for c in CROSSCAP]
     with pytest.raises(Disconnected) as info:

@@ -1,11 +1,12 @@
 """The batched cache fill of flagsys._fill_caches and the checks that use it.
 
-The fill must leave every system's cell labels and parity potentials
-byte for byte as the system's own passes would, dtype included, and keep
-every cache already present, and its passes stop at flagsys._FILL
-nodes.  surgery-chi and make-property build all the outputs of a small
-map before checking them, so they are compared here with the
-one-output-at-a-time checks they replaced, failure by failure.
+The fill must leave every system's cell labels at dimensions 0 and rank
+and its parity pass, potentials and cycle basis, byte for byte as the
+system's own passes would, dtype included; it must keep every cache
+already present, leave the other dimensions lazy, and stop its passes at
+flagsys._FILL nodes.  surgery-chi and make-property build all the
+outputs of a small map before checking them, so they are compared here
+with the one-output-at-a-time checks they replaced, failure by failure.
 """
 
 import itertools
@@ -16,7 +17,7 @@ import pytest
 import mapforge.coloring as coloring
 import mapforge.corpus as corpus
 import mapforge.flagsys as flagsys
-from cases import CORPUS, DOUBLES
+from cases import CORPUS, DOUBLES, color_sets
 from mapforge import (
     MAKE_GOALS,
     PROPERTY_CHECKS,
@@ -24,16 +25,19 @@ from mapforge import (
     FlagSystem,
     SurfaceSignature,
     cell_labels,
+    cube_maniplex,
     double_edge,
     edge_of,
     euler_characteristic,
     find_coloring,
+    i_double,
     make_property,
     polygon_gluing,
     subdivide_edge,
     surface_signature,
     tri_torus,
     triple_edge,
+    validate,
 )
 from mapforge.errors import LoopEdge
 
@@ -51,12 +55,16 @@ def same_array(a, b):
 
 def assert_filled_like_own_passes(system):
     own = fresh(system)
-    for d in range(system.rank + 1):
+    for d in (0, system.rank):
         labels, count = system._labels[d]
         want, want_count = cell_labels(own, d)
         assert same_array(labels, want) and count == want_count, d
         assert not labels.flags.writeable
-    assert same_array(vars(system)["_pot"], own._pot)
+    pot, basis = vars(system)["_parity"]
+    want_pot, want_basis = own._parity
+    assert pot is vars(system)["_pot"] and same_array(pot, want_pot)
+    assert not pot.flags.writeable and not want_pot.flags.writeable
+    assert basis == want_basis
 
 
 def grown_maps(system):
@@ -109,17 +117,73 @@ def test_one_fill_over_the_whole_corpus_and_rank_3():
         assert_filled_like_own_passes(member)
 
 
+def test_one_fill_over_rank_4_doubles_leaves_the_edges_lazy():
+    base = cube_maniplex(5)
+    doubles = [fresh(i_double(base, cs).system) for cs in color_sets(4)[1::9]]
+    assert {d.rank for d in doubles} == {4} and len({d.flag_count for d in doubles}) == 2
+    flagsys._fill_caches([fresh(base)] + doubles)
+    for member in doubles:
+        assert_filled_like_own_passes(member)
+        assert set(member._labels) == {0, 4}
+    # make_property returns its input, with the caches its search made, when the goal holds
+    edges = [m for base in map(fresh, dict(RANK2[:8]).values()) for m in grown_maps(base)
+             if m is not base]
+    flagsys._fill_caches(edges)
+    for member in edges:
+        assert 1 not in member._labels
+        labels, count = cell_labels(member, 1)
+        want, want_count = cell_labels(fresh(member), 1)
+        assert same_array(labels, want) and count == want_count
+
+
+def z2_cube_system(vectors):
+    """The rank len(vectors) - 1 system on the flags 0..7 (bit vectors of
+    length 3) where r_i adds vectors[i]: connections that are not
+    neighbours must add different vectors."""
+    flags = np.arange(8)
+    return validate(len(vectors) - 1, 8, [flags ^ v for v in vectors])
+
+
+def test_a_high_rank_fill_reduces_each_blocks_masks():
+    """At rank 13 one table row per block would hold 2^14 masks for 8 or 16
+    flags, so the fill reduces each block's own masks instead."""
+    a = z2_cube_system([1, 1, 2, 2, 4, 4, 3, 3, 5, 5, 6, 6, 7, 7])
+    b = z2_cube_system([2, 2, 1, 1, 4, 4, 3, 3, 5, 5, 6, 6, 7, 7])
+    batch = [fresh(a), fresh(b), fresh(i_double(a, ColorSet.of((0, 13), 13)).system)]
+    assert batch[2].flag_count == 16
+    assert len(batch) << 14 > sum(m.flag_count for m in batch)
+    flagsys._fill_caches(batch)
+    for member in batch:
+        assert_filled_like_own_passes(member)
+    assert len({tuple(m._parity[1]) for m in batch}) == 3
+
+
+def test_a_fill_that_reads_its_neighbours_row_fails_the_comparison(monkeypatch):
+    """Comparing each basis with the system's own pass catches a fill that
+    reduces, for each block, the table row it handed to the block before."""
+    batch = [m for _, system in RANK2 for m in grown_maps(fresh(system))]
+    want = [fresh(m)._parity[1] for m in batch]
+    honest, rows = flagsys._extend_basis, []
+
+    def neighbours_row(basis, row):
+        rows.append(row.copy())
+        honest(basis, rows[-2] if len(rows) > 1 else row)
+
+    monkeypatch.setattr(flagsys, "_extend_basis", neighbours_row)
+    flagsys._fill_caches(batch)
+    assert sum(m._parity[1] != basis for m, basis in zip(batch, want)) > 0
+
+
 def test_fill_keeps_caches_already_present(kernel_calls):
     a, b, c = (fresh(system) for _, system in RANK2[:3])
-    kept = [(a, 1, cell_labels(a, 1)), (c, 0, cell_labels(c, 0)), (c, 2, cell_labels(c, 2)),
-            (b, "_pot", b._pot), (c, "_pot", c._pot)]
+    kept = [(a, 2, cell_labels(a, 2)), (c, 0, cell_labels(c, 0)), (c, 2, cell_labels(c, 2)),
+            (b, "_parity", b._parity), (c, "_parity", c._parity)]
     kernel_calls.clear()
     flagsys._fill_caches([a, b, c, a])
-    # a misses two dimensions, b three and c one; a and b miss their parity pass
-    assert kernel_calls == [2 * a.flag_count + 3 * b.flag_count + c.flag_count,
-                            a.flag_count]
+    # a misses one of dimensions 0 and 2, b both and c none; a misses its parity pass
+    assert kernel_calls == [a.flag_count + 2 * b.flag_count, a.flag_count]
     for system, key, value in kept:
-        assert (vars(system) if key == "_pot" else system._labels)[key] is value
+        assert (vars(system) if key == "_parity" else system._labels)[key] is value
     for member in (a, b, c):
         assert_filled_like_own_passes(member)
     kernel_calls.clear()
@@ -129,10 +193,10 @@ def test_fill_keeps_caches_already_present(kernel_calls):
 
 
 @pytest.mark.parametrize("cap,labels,parity", [
-    (100, [96, 96, 96, 96, 48], [96, 48]),
-    (144, [144, 144, 144], [144]),
-    (48, [48] * 9, [48] * 3),
-    (47, [48] * 9, [48] * 3),
+    (100, [96, 96, 96], [96, 48]),
+    (144, [144, 144], [144]),
+    (48, [48] * 6, [48] * 3),
+    (47, [48] * 6, [48] * 3),
 ])
 def test_fill_splits_its_passes_at_the_node_cap(kernel_calls, monkeypatch, cap, labels, parity):
     cube = next(system for name, system in RANK2 if name == "cube")
@@ -150,7 +214,7 @@ def test_a_system_over_the_cap_gets_passes_of_its_own(kernel_calls):
     assert n > flagsys._FILL > 3 * m
     kernel_calls.clear()
     flagsys._fill_caches([big, small])
-    assert kernel_calls == [n, n, n, 3 * m, n, m]
+    assert kernel_calls == [n, n, 2 * m, n, m]
     for member in (big, small):
         assert_filled_like_own_passes(member)
 
@@ -175,7 +239,7 @@ def test_a_larger_map_grows_its_outputs_as_the_check_reaches_them(monkeypatch):
 
     batched = []
     monkeypatch.setattr(corpus, "_fill_caches", batched.append)
-    # label passes of 3 * 1200 nodes take at most half a pass; of 3 * 1452, more
+    # a fill of 3 * 1200 nodes takes at most half a pass; of 3 * 1452, more
     small, big = tri_torus(10, 10), tri_torus(11, 11)
     assert 6 * small.flag_count <= flagsys._FILL < 6 * big.flag_count
     for check in ("surgery-chi", "make-property"):
@@ -217,7 +281,7 @@ def test_a_cell_spends_two_kernel_calls_on_its_grown_maps(kernel_calls, monkeypa
         assert len(batches) == 1 and batches[0][0] is system
         grown = {id(m): m for m in batches[0] if m is not system}
         size = sum(m.flag_count for m in grown.values())
-        assert kernel_calls == ([3 * size, size] if grown else []), name
+        assert kernel_calls == ([2 * size, size] if grown else []), name
         counted += bool(grown)
     assert counted >= len(RANK2) // 2
 
