@@ -513,8 +513,8 @@ def _grow(system, build, items):
     output, so that a check can report the first failure in item order.
     When system's fill, 2N label nodes and N parity nodes, takes at most
     half of one _fill_caches pass (flagsys._FILL nodes), every output is
-    built first and one fill gives system and its outputs all the checks
-    read: vertex and face labels and the parity pass with its basis.  A
+    built first and one fill gives system and its outputs the passes the
+    checks read: vertex and face labels and the parity potentials.  A
     larger system's outputs are built one at a time as the check reaches
     them, each making its own passes: batched, they measured slower there."""
     def one(item):

@@ -28,8 +28,8 @@ that is_isomorphic falls back on (FlagSystem._classes) and, per cell
 dimension, one label pass (cell_labels) and one cell route
 (coloring._cell_route); pso-oracle compares the two routes at every
 rank.  _fill_caches fills the label passes at dimensions 0 and rank and
-the parity pass with its basis of many small systems in two kernel calls
-over their disjoint union, up to _FILL nodes a call: all that verify's
+the parity potentials of many small systems in two kernel calls over
+their disjoint union, up to _FILL nodes a call: the passes that verify's
 surgery-chi and make-property checks read of the maps they grow.
 
 The isomorphism search transports candidate images of flag 0 along a
@@ -221,24 +221,19 @@ def _cycle_basis(pot: np.ndarray, edges, flips) -> list[int]:
 
     After _orbits these masks are the XOR sums of flips around cycles of
     the edge graph and span its whole cycle space, so the basis is empty
-    exactly when the relations are consistent.
+    exactly when the relations are consistent.  Each basis mask clears
+    its highest bit from every later residual.
     """
     basis: list[int] = []
     for (src, dst), w in zip(edges, flips):
         res = (pot if src is None else pot[src]) ^ pot[dst]
         res ^= w
-        _extend_basis(basis, res)
+        for c in basis:
+            res ^= (res >> (c.bit_length() - 1) & 1) * c
+        while c := int(res.max(initial=0)):
+            basis.append(c)
+            res ^= (res >> (c.bit_length() - 1) & 1) * c
     return basis
-
-
-def _extend_basis(basis: list[int], res: np.ndarray) -> None:
-    """Extend `basis` by the masks in `res`, which it overwrites: each basis mask
-    clears its highest bit from every residual; the largest left joins the basis."""
-    for c in basis:
-        res ^= (res >> (c.bit_length() - 1) & 1) * c
-    while c := int(res.max(initial=0)):
-        basis.append(c)
-        res ^= (res >> (c.bit_length() - 1) & 1) * c
 
 
 def _letter_parity(system: FlagSystem, letters, pot=None) -> tuple[np.ndarray, list[int]]:
@@ -321,18 +316,16 @@ _FILL = 8192  # nodes in one _fill_caches pass, unless one block alone is larger
 
 
 def _fill_caches(systems) -> None:
-    """Fill cell_labels at dimensions 0 and rank and the parity pass with its
-    cycle basis (FlagSystem._parity) of every listed system, all of one rank,
-    in _orbits passes over disjoint unions: one block per missing (system,
-    dimension d), with the letters j != d in order, or per system without
-    potentials, with flips 1 << j.  Each block comes out byte for byte as a
-    pass of its own (see _orbits).  One cumsum numbers a label pass's roots;
-    a block's first node is a root.  A basis reduces, letter by letter, its
-    block's row of one mask table (blocks x 2^(rank+1)) while the table is
-    no larger than the pass, else the block's masks themselves.  Caches
-    present are kept; other dimensions stay lazy.  Blocks join a pass in
-    order while it holds at most _FILL nodes; a system of more than _FILL
-    flags gets passes of its own, as a much larger union runs slower.
+    """Fill cell_labels at dimensions 0 and rank and the parity potentials
+    (FlagSystem._pot) of every listed system, all of one rank, in _orbits
+    passes over disjoint unions: one block per missing (system, dimension
+    d), with the letters j != d in order, or per system without potentials,
+    with flips 1 << j.  Each block comes out byte for byte as a pass of its
+    own (see _orbits) and gets a read-only slice.  One cumsum numbers a
+    label pass's roots; a block's first node is a root.  Caches present are
+    kept; other dimensions and the cycle basis stay lazy.  Blocks join a
+    pass in order while it holds at most _FILL nodes; a system of more than
+    _FILL flags gets passes of its own, as a much larger union runs slower.
     """
     systems = list({id(s): s for s in systems}.values())
     if not systems:
@@ -363,23 +356,8 @@ def _fill_caches(systems) -> None:
                 s._labels[d] = labels[a:b], int(number[b - 1] - number[a]) + 1
             continue
         pot.setflags(write=False)
-        bases, width = [[] for _ in blocks], 1 << (rank + 1)
-        block = np.repeat(np.arange(len(blocks)), sizes)
-        for g, w in zip(groups, flips):
-            res = pot ^ pot[g]
-            res ^= w
-            if len(blocks) * width > pot.size:
-                for basis, part in zip(bases, np.split(res, starts[1:-1])):
-                    _extend_basis(basis, part)
-                continue
-            seen = np.zeros((len(blocks), width), dtype=bool)
-            seen[block, res] = True
-            # a row that holds mask 0 alone adds nothing to its basis
-            for b in np.flatnonzero(seen[:, 1:].any(axis=1)).tolist():
-                _extend_basis(bases[b], np.flatnonzero(seen[b]))
-        for (s, _), a, b, basis in zip(blocks, starts, starts[1:], bases):
+        for (s, _), a, b in zip(blocks, starts, starts[1:]):
             vars(s)["_pot"] = pot[a:b]
-            vars(s)["_parity"] = vars(s)["_pot"], basis
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
 """The batched cache fill of flagsys._fill_caches and the checks that use it.
 
 The fill must leave every system's cell labels at dimensions 0 and rank
-and its parity pass, potentials and cycle basis, byte for byte as the
-system's own passes would, dtype included; it must keep every cache
-already present, leave the other dimensions lazy, and stop its passes at
-flagsys._FILL nodes.  surgery-chi and make-property build all the
-outputs of a small map before checking them, so they are compared here
-with the one-output-at-a-time checks they replaced, failure by failure.
+and its parity potentials byte for byte as the system's own passes
+would, dtype included, so that the cycle basis reduced from them is the
+same too; it must keep every cache already present, leave the other
+dimensions and the basis lazy, and stop its passes at flagsys._FILL
+nodes.  surgery-chi and make-property build all the outputs of a small
+map before checking them, so they are compared here with the
+one-output-at-a-time checks they replaced, failure by failure.
 """
 
 import itertools
@@ -60,11 +61,10 @@ def assert_filled_like_own_passes(system):
         want, want_count = cell_labels(own, d)
         assert same_array(labels, want) and count == want_count, d
         assert not labels.flags.writeable
-    pot, basis = vars(system)["_parity"]
-    want_pot, want_basis = own._parity
-    assert pot is vars(system)["_pot"] and same_array(pot, want_pot)
+    pot, want_pot = vars(system)["_pot"], own._pot
+    assert same_array(pot, want_pot)
     assert not pot.flags.writeable and not want_pot.flags.writeable
-    assert basis == want_basis
+    assert system._parity[1] == own._parity[1]
 
 
 def grown_maps(system):
@@ -117,12 +117,13 @@ def test_one_fill_over_the_whole_corpus_and_rank_3():
         assert_filled_like_own_passes(member)
 
 
-def test_one_fill_over_rank_4_doubles_leaves_the_edges_lazy():
+def test_one_fill_over_rank_4_doubles_leaves_edges_and_bases_lazy():
     base = cube_maniplex(5)
     doubles = [fresh(i_double(base, cs).system) for cs in color_sets(4)[1::9]]
     assert {d.rank for d in doubles} == {4} and len({d.flag_count for d in doubles}) == 2
     flagsys._fill_caches([fresh(base)] + doubles)
     for member in doubles:
+        assert "_parity" not in vars(member)
         assert_filled_like_own_passes(member)
         assert set(member._labels) == {0, 4}
     # make_property returns its input, with the caches its search made, when the goal holds
@@ -144,46 +145,30 @@ def z2_cube_system(vectors):
     return validate(len(vectors) - 1, 8, [flags ^ v for v in vectors])
 
 
-def test_a_high_rank_fill_reduces_each_blocks_masks():
-    """At rank 13 one table row per block would hold 2^14 masks for 8 or 16
-    flags, so the fill reduces each block's own masks instead."""
+def test_a_rank_13_fill_keeps_16_bit_potentials_and_bases():
+    """Flips up to 1 << 13 need 16-bit potentials, and each block's slice
+    gives its own basis."""
     a = z2_cube_system([1, 1, 2, 2, 4, 4, 3, 3, 5, 5, 6, 6, 7, 7])
     b = z2_cube_system([2, 2, 1, 1, 4, 4, 3, 3, 5, 5, 6, 6, 7, 7])
     batch = [fresh(a), fresh(b), fresh(i_double(a, ColorSet.of((0, 13), 13)).system)]
     assert batch[2].flag_count == 16
-    assert len(batch) << 14 > sum(m.flag_count for m in batch)
     flagsys._fill_caches(batch)
     for member in batch:
         assert_filled_like_own_passes(member)
+        assert member._pot.dtype == np.uint16
     assert len({tuple(m._parity[1]) for m in batch}) == 3
-
-
-def test_a_fill_that_reads_its_neighbours_row_fails_the_comparison(monkeypatch):
-    """Comparing each basis with the system's own pass catches a fill that
-    reduces, for each block, the table row it handed to the block before."""
-    batch = [m for _, system in RANK2 for m in grown_maps(fresh(system))]
-    want = [fresh(m)._parity[1] for m in batch]
-    honest, rows = flagsys._extend_basis, []
-
-    def neighbours_row(basis, row):
-        rows.append(row.copy())
-        honest(basis, rows[-2] if len(rows) > 1 else row)
-
-    monkeypatch.setattr(flagsys, "_extend_basis", neighbours_row)
-    flagsys._fill_caches(batch)
-    assert sum(m._parity[1] != basis for m, basis in zip(batch, want)) > 0
 
 
 def test_fill_keeps_caches_already_present(kernel_calls):
     a, b, c = (fresh(system) for _, system in RANK2[:3])
     kept = [(a, 2, cell_labels(a, 2)), (c, 0, cell_labels(c, 0)), (c, 2, cell_labels(c, 2)),
-            (b, "_parity", b._parity), (c, "_parity", c._parity)]
+            (b, "_pot", b._pot), (c, "_pot", c._pot)]
     kernel_calls.clear()
     flagsys._fill_caches([a, b, c, a])
     # a misses one of dimensions 0 and 2, b both and c none; a misses its parity pass
     assert kernel_calls == [a.flag_count + 2 * b.flag_count, a.flag_count]
     for system, key, value in kept:
-        assert (vars(system) if key == "_parity" else system._labels)[key] is value
+        assert (vars(system) if key == "_pot" else system._labels)[key] is value
     for member in (a, b, c):
         assert_filled_like_own_passes(member)
     kernel_calls.clear()
