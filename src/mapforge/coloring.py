@@ -37,7 +37,6 @@ from .flagsys import (
     FlagSystem,
     _cycle_basis,
     _freeze,
-    _letter_parity,
     _orbits,
     _root_labels,
     apply_word,
@@ -269,13 +268,16 @@ def is_valid_coloring(system: FlagSystem, color_set, assignment) -> bool:
 
 
 def _orthogonal_group(rank: int, cycles) -> ColoringGroup:
-    """Color sets with even overlap against every mask in `cycles`.
+    """Color sets with even overlap against every mask in `cycles` (_eliminated)."""
+    return _eliminated(rank, tuple(cycles))
 
-    Gauss-Jordan elimination over GF(2) puts the cycle masks in reduced
-    form; each non-pivot index b then yields the generator 1<<b plus the
-    pivots of the rows containing b, and those generators span exactly
-    the orthogonal complement.
-    """
+
+@cache
+def _eliminated(rank: int, cycles: tuple[int, ...]) -> ColoringGroup:
+    """_orthogonal_group, once per (rank, cycles): Gauss-Jordan elimination
+    over GF(2) puts the cycle masks in reduced form; each non-pivot index b
+    then yields the generator 1<<b plus the pivots of the rows containing b,
+    and those generators span exactly the orthogonal complement."""
     rows: dict[int, int] = {}
     for c in cycles:
         for pivot, row in rows.items():
@@ -323,7 +325,9 @@ def coloring_group_excluding_cell(system: FlagSystem, face: Cell) -> ColoringGro
     for conn in system.connections:
         src = np.nonzero(kept & kept[conn])[0]
         letters.append((src, conn[src]))
-    return _orthogonal_group(system.rank, _letter_parity(system, letters)[1])
+    flips = [1 << j for j in range(system.rank + 1)]
+    pot = _orbits(system.flag_count, letters, flips)[1]
+    return _orthogonal_group(system.rank, _cycle_basis(pot, letters, flips))
 
 
 def cycle_consistent(system: FlagSystem, flag: int, word, color_set) -> bool:

@@ -512,11 +512,10 @@ def _grow(system, build, items):
     """build(system, item) for each item, an exception standing in for its
     output, so that a check can report the first failure in item order.
     When system's fill, 2N label nodes and N parity nodes, takes at most
-    half of one _fill_caches pass (flagsys._FILL nodes), every output is
-    built first and one fill gives system and its outputs the passes the
-    checks read: vertex and face labels and the parity potentials.  A
-    larger system's outputs are built one at a time as the check reaches
-    them, each making its own passes: batched, they measured slower there."""
+    half of one _union pass (flagsys._FILL nodes), every output is built
+    first and one _fill_caches call fills them all with system.  A larger
+    system's outputs are built one at a time as the check reaches them,
+    each making its own passes: batched, they measured slower there."""
     def one(item):
         try:
             return build(system, item)

@@ -4,10 +4,11 @@ The I-double of a flag system lives on two copies of the flag set and
 crosses sheets exactly along connections in I.  It is connected
 precisely when no I-coloring exists downstairs; when a coloring does
 exist the construction falls apart into two copies of the base.
-Doubles by several color sets come from one orbit-kernel pass over
-their disjoint union, whose potentials each connected double keeps as
-its parity pass.  Quotienting by a sheet-swapping deck involution
-inverts the construction, which is how covers are recognized.
+Doubles by several color sets come from one flagsys._union over their
+lifts, up to flagsys._FILL nodes a pass unless one double alone is larger;
+each connected double keeps its potentials as its parity pass.
+Quotienting by a sheet-swapping deck involution inverts the
+construction, which is how covers are recognized.
 """
 
 from __future__ import annotations
@@ -68,35 +69,25 @@ def i_double(system: FlagSystem, color_set) -> DoubleResult:
 
 
 def _i_doubles(system: FlagSystem, color_sets) -> list[DoubleResult]:
-    """i_double of each color set, from one parity pass over their disjoint union.
+    """i_double of each color set, from one flagsys._union over their lifts.
 
-    Flag (f, s) of the b-th double is node b*2N + 2f + s, and r_j flips
-    by 1 << j; each block comes out as a pass of its own (see
-    flagsys._orbits).  The lift keeps every axiom but connectivity, so a
-    block with two roots is the split test, and a connected block keeps
-    its potentials as its double's parity pass (FlagSystem._pot).  A pass
-    holds about flagsys._CHUNK entries across letters.
+    Flag (f, s) is node 2f + s, r_j flips by 1 << j, and the doubles share
+    each letter's two lifts, sheets kept and swapped.  The lift keeps every
+    axiom but connectivity, so a block with two roots has split: its (0, 0)
+    component, the flags (f, c(f)) for the I-coloring c with c(0) = 0, is the
+    input.  A connected block keeps its potentials as FlagSystem._pot.
     """
     n2 = 2 * system.flag_count
     ids = np.arange(n2, dtype=np.intp)
-    step = max(1, flagsys._CHUNK // (n2 * (system.rank + 1)))
-    out = []
-    for start in range(0, len(color_sets), step):
-        chunk = color_sets[start:start + step]
-        offsets = np.arange(len(chunk), dtype=np.intp)[:, None] * n2
-        sheets = offsets + (ids & 1)
-        lifted = [(sheets ^ np.array([[j in cs] for cs in chunk])) + 2 * np.repeat(conn, 2)
-                  for j, conn in enumerate(system.connections)]
-        root, pot, _ = flagsys._orbits(len(chunk) * n2, [(None, c.ravel()) for c in lifted],
-                                       [1 << j for j in range(system.rank + 1)])
-        for b, joined in enumerate((root.reshape(-1, n2) == offsets).all(axis=1)):
-            if joined:
-                double = _assemble(system.rank, [c[b] - b * n2 for c in lifted], pot[b * n2:(b + 1) * n2])
-                out.append(DoubleResult(False, double, ids // 2))
-            else:  # the (0, 0) component holds the flags (f, c(f)) for the I-coloring c
-                # with c(0) = 0, so in ascending order it is the input
-                out.append(DoubleResult(True, system, ids[:n2 // 2]))
-    return out
+    kept = [2 * np.repeat(conn, 2) + (ids & 1) for conn in system.connections]
+    lifts = [(c, c ^ 1) for c in kept]
+    blocks = [[lift[j in cs] for j, lift in enumerate(lifts)] for cs in color_sets]
+    starts, root, pot = flagsys._union(blocks, [1 << j for j in range(system.rank + 1)])
+    joined = (root.reshape(-1, n2) == starts[:-1, None]).all(axis=1)
+    half, same = ids // 2, ids[:n2 // 2]  # each result's projection, shared
+    return [DoubleResult(False, _assemble(system.rank, block, pot[a:a + n2]), half) if one
+            else DoubleResult(True, system, same)
+            for block, a, one in zip(blocks, starts, joined)]
 
 
 def sherk_double(system: FlagSystem) -> FlagSystem:
@@ -121,15 +112,12 @@ def quotient(system: FlagSystem, u) -> tuple[FlagSystem, np.ndarray]:
     them; they stay fixed-point-free because u avoids every r_j.
     """
     n = system.flag_count
-    outside = BadParameters(f"deck map entries must lie in 0..{n - 1}")
-    try:
-        u = np.ascontiguousarray(u, dtype=np.intp)
-    except OverflowError:
-        raise outside from None
+    u = np.asarray(u)
     if u.shape != (n,):
         raise BadParameters(f"deck map has shape {u.shape}, expected ({n},)")
-    if ((u < 0) | (u >= n)).any():
-        raise outside
+    if u.dtype.kind not in "iu" or ((u < 0) | (u >= n)).any():
+        raise BadParameters(f"deck map entries must be integers in 0..{n - 1}")
+    u = np.ascontiguousarray(u, dtype=np.intp)
     ids = np.arange(n, dtype=np.intp)
     for i, conn in enumerate(system.connections):
         bad = np.nonzero(u[conn] != conn[u])[0]

@@ -27,9 +27,9 @@ the isomorphism search (FlagSystem._plan), the invariant flag classes
 that is_isomorphic falls back on (FlagSystem._classes) and, per cell
 dimension, one label pass (cell_labels) and one cell route
 (coloring._cell_route); pso-oracle compares the two routes at every
-rank.  _fill_caches fills the label passes at dimensions 0 and rank and
-the parity potentials of many small systems in two kernel calls over
-their disjoint union, up to _FILL nodes a call: the passes that verify's
+rank.  _union runs the kernel over disjoint unions, up to _FILL nodes a
+pass unless one block alone is larger, for doubles._i_doubles and for
+_fill_caches, which fills the label and parity passes that verify's
 surgery-chi and make-property checks read of the maps they grow.
 
 The isomorphism search transports candidate images of flag 0 along a
@@ -101,7 +101,8 @@ class FlagSystem:
     @cached_property
     def _parity(self) -> tuple[np.ndarray, list[int]]:
         """(pot, cycle basis) of that parity pass."""
-        return _letter_parity(self, [(None, c) for c in self.connections], self._pot)
+        flips = [1 << j for j in range(self.rank + 1)]
+        return self._pot, _cycle_basis(self._pot, [(None, c) for c in self.connections], flips)
 
     @cached_property
     def _group(self):
@@ -236,15 +237,6 @@ def _cycle_basis(pot: np.ndarray, edges, flips) -> list[int]:
     return basis
 
 
-def _letter_parity(system: FlagSystem, letters, pot=None) -> tuple[np.ndarray, list[int]]:
-    """(pot, cycle basis) of one _orbits pass over `letters` with flip 1 << j on r_j;
-    a given `pot` stands for the pass."""
-    flips = [1 << j for j in range(system.rank + 1)]
-    if pot is None:
-        _, pot, _ = _orbits(system.flag_count, letters, flips)
-    return pot, _cycle_basis(pot, letters, flips)
-
-
 def validate(rank: int, flag_count: int, raw_connections) -> FlagSystem:
     """Check the axioms and return the immutable system.
 
@@ -262,19 +254,22 @@ def validate(rank: int, flag_count: int, raw_connections) -> FlagSystem:
     conns = []
     ident = np.arange(flag_count, dtype=np.intp)
     for i, raw in enumerate(raw_connections):
-        try:
-            arr = np.asarray(raw, dtype=np.intp)
-        except OverflowError:
-            f = next(f for f, v in enumerate(raw) if not 0 <= v < flag_count)
-            raise OutOfRange(i, f, int(raw[f]), flag_count) from None
+        arr = np.asarray(raw)
         if arr.shape != (flag_count,):
             raise BadParameters(
                 f"connection r{i} has length {arr.size}, expected {flag_count}"
             )
+        if arr.dtype.kind not in "iu":
+            if not all(type(v) is int or isinstance(v, np.integer) for v in raw):
+                raise BadParameters(f"connection r{i} has entries that are not integers")
+            # ints that numpy holds in no integer dtype: one lies outside int64
+            f = next(f for f, v in enumerate(raw) if not 0 <= v < flag_count)
+            raise OutOfRange(i, f, int(raw[f]), flag_count)
         bad = np.nonzero((arr < 0) | (arr >= flag_count))[0]
         if bad.size:
             f = int(bad[0])
             raise OutOfRange(i, f, int(arr[f]), flag_count)
+        arr = arr.astype(np.intp, copy=False)
         fixed = np.nonzero(arr == ident)[0]
         if fixed.size:
             raise FixedPoint(i, int(fixed[0]))
@@ -312,52 +307,60 @@ def _assemble(rank: int, conns, pot=None) -> FlagSystem:
     return system
 
 
-_FILL = 8192  # nodes in one _fill_caches pass, unless one block alone is larger
+_FILL = 8192  # nodes in one _union pass, unless one block alone is larger
+
+
+def _union(blocks, flips=None):
+    """(starts, root, pot) of _orbits over the disjoint union of `blocks`, each a
+    list of as many connection arrays, with int flips[j] on the j-th; block b
+    holds nodes starts[b] to starts[b + 1] - 1.  Blocks join a pass in order
+    while it holds at most _FILL nodes, and a larger block gets a pass of its
+    own: much larger unions run slower.  Each block comes out as a pass of its
+    own (see _orbits), so root and the read-only pot read as one pass over the
+    whole union would give them."""
+    starts = np.cumsum([0] + [len(block[0]) for block in blocks])
+    cuts = []
+    for b in range(len(blocks)):
+        if not cuts or starts[b + 1] - starts[cuts[-1]] > _FILL:
+            cuts.append(b)
+    roots = [np.zeros(0, np.intp)]
+    pots = [None if flips is None else np.zeros(0, np.min_scalar_type(max(flips)))]
+    for i, k in zip(cuts, cuts[1:] + [len(blocks)]):
+        a, letters = starts[i], blocks[i]
+        if k - i > 1:  # a lone block is not stacked
+            shift = np.repeat(starts[i:k] - a, np.diff(starts[i:k + 1]))
+            letters = [np.concatenate(group) + shift for group in zip(*blocks[i:k])]
+        root, pot, _ = _orbits(int(starts[k] - a), [(None, c) for c in letters], flips)
+        if a:
+            root += a
+        roots.append(root)
+        pots.append(pot)
+    root = roots[-1] if len(roots) == 2 else np.concatenate(roots)
+    pot = pots[-1] if len(pots) == 2 or flips is None else np.concatenate(pots)
+    return starts, root, pot if flips is None else _freeze(pot, pot.dtype)
 
 
 def _fill_caches(systems) -> None:
     """Fill cell_labels at dimensions 0 and rank and the parity potentials
-    (FlagSystem._pot) of every listed system, all of one rank, in _orbits
-    passes over disjoint unions: one block per missing (system, dimension
-    d), with the letters j != d in order, or per system without potentials,
-    with flips 1 << j.  Each block comes out byte for byte as a pass of its
-    own (see _orbits) and gets a read-only slice.  One cumsum numbers a
-    label pass's roots; a block's first node is a root.  Caches present are
-    kept; other dimensions and the cycle basis stay lazy.  Blocks join a
-    pass in order while it holds at most _FILL nodes; a system of more than
-    _FILL flags gets passes of its own, as a much larger union runs slower.
-    """
+    (FlagSystem._pot) of listed systems of one rank by two _unions: a block per
+    missing (system, dimension d), letters j != d, and per system without
+    potentials, flips 1 << j.  Each block gets a read-only slice; one cumsum
+    numbers the label roots, a block's first node being one.  Caches present
+    are kept; other dimensions and the cycle basis stay lazy."""
     systems = list({id(s): s for s in systems}.values())
     if not systems:
         return
     rank = systems[0].rank
     todo = [(s, d) for s in systems for d in (0, rank) if d not in s._labels]
-    bare = [(s, None) for s in systems if "_pot" not in vars(s)]
-    passes = []
-    for blocks, flips in ((todo, None), (bare, [1 << j for j in range(rank + 1)])):
-        size = _FILL
-        for block in blocks:
-            if size + block[0].flag_count > _FILL:
-                passes.append(([], flips))
-                size = 0
-            passes[-1][0].append(block)
-            size += block[0].flag_count
-    for blocks, flips in passes:
-        sizes = [s.flag_count for s, _ in blocks]
-        starts = np.cumsum([0] + sizes)
-        shift = np.repeat(starts[:-1], sizes)
-        groups = [np.concatenate([s.connections[j + (d is not None and j >= d)] for s, d in blocks])
-                  + shift for j in range(rank + (flips is not None))]
-        root, pot, _ = _orbits(int(starts[-1]), [(None, g) for g in groups], flips)
-        if flips is None:
-            number = np.cumsum(root == np.arange(root.size)) - 1
-            labels = _freeze(number[root] - number[shift])
-            for (s, d), a, b in zip(blocks, starts, starts[1:]):
-                s._labels[d] = labels[a:b], int(number[b - 1] - number[a]) + 1
-            continue
-        pot.setflags(write=False)
-        for (s, _), a, b in zip(blocks, starts, starts[1:]):
-            vars(s)["_pot"] = pot[a:b]
+    starts, root, _ = _union([[c for j, c in enumerate(s.connections) if j != d] for s, d in todo])
+    number = np.cumsum(root == np.arange(root.size)) - 1
+    labels = _freeze(number[root] - np.repeat(number[starts[:-1]], np.diff(starts)))
+    for (s, d), a, b in zip(todo, starts, starts[1:]):
+        s._labels[d] = labels[a:b], int(number[b - 1] - number[a]) + 1
+    bare = [s for s in systems if "_pot" not in vars(s)]
+    starts, _, pot = _union([s.connections for s in bare], [1 << j for j in range(rank + 1)])
+    for s, a, b in zip(bare, starts, starts[1:]):
+        vars(s)["_pot"] = pot[a:b]
 
 
 @dataclass(frozen=True)
@@ -585,7 +588,7 @@ def _plan_by_arrays(system: FlagSystem):
     return row, np.concatenate(parents), steps, starts, checks
 
 
-_CHUNK = 4_000_000
+_CHUNK = 4_000_000  # entries of one _isomorphisms transport table
 _FIRST_BLOCK = 64
 
 
@@ -735,11 +738,12 @@ def check_projection(cover: FlagSystem, base: FlagSystem, phi) -> tuple[bool, in
     """
     if cover.rank != base.rank:
         raise RankMismatch(cover.rank, base.rank)
-    phi = np.asarray(phi, dtype=np.intp)
-    if phi.shape != (cover.flag_count,):
+    phi = np.asarray(phi)
+    if phi.dtype.kind not in "iu" or phi.shape != (cover.flag_count,):
         return False, None
     if phi.min() < 0 or phi.max() >= base.flag_count:
         return False, None
+    phi = phi.astype(np.intp, copy=False)
     for i in range(cover.rank + 1):
         if not np.array_equal(phi[cover.connections[i]], base.connections[i][phi]):
             return False, None

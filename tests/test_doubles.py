@@ -123,7 +123,7 @@ def test_batched_lift_matches_the_one_set_reference():
                 continue
             double = result.system
             letters = [(None, c) for c in double.connections]
-            fresh = flagsys._letter_parity(double, letters)[0]
+            fresh = flagsys._orbits(double.flag_count, letters, [1 << j for j in range(double.rank + 1)])[1]
             seeded = vars(double)["_pot"]
             assert seeded.dtype == fresh.dtype and np.array_equal(seeded, fresh), (name, str(cs))
 
@@ -141,17 +141,25 @@ def test_batched_lift_in_chunks_matches_one_pass(monkeypatch, per_pass):
 
     monkeypatch.setattr(flagsys, "_orbits", counting)
     for system, want in zip(systems, whole):
-        entries = 2 * system.flag_count * (system.rank + 1)
-        monkeypatch.setattr(flagsys, "_CHUNK", per_pass * entries + entries - 1)
+        n2 = 2 * system.flag_count
+        monkeypatch.setattr(flagsys, "_FILL", per_pass * n2 + n2 - 1)
         calls.clear()
         got = _i_doubles(system, color_sets(system.rank))
         sets = len(want)
-        assert calls == [2 * system.flag_count * min(per_pass, sets - start)
-                         for start in range(0, sets, per_pass)]
+        assert calls == [n2 * min(per_pass, sets - start) for start in range(0, sets, per_pass)]
         _same_doubles(got, want, system)
         for a, b in zip(got, want):
             if not a.split:
                 assert np.array_equal(vars(a.system)["_pot"], vars(b.system)["_pot"])
+
+
+def test_no_color_sets_make_no_doubles_and_no_pass(monkeypatch):
+    def unused(n, edges, flips=None):
+        raise AssertionError("a kernel pass over no doubles")
+
+    cube = platonic("cube")
+    monkeypatch.setattr(flagsys, "_orbits", unused)
+    assert _i_doubles(cube, []) == []
 
 
 def test_split_double_is_isomorphic_to_base():
@@ -302,6 +310,15 @@ def test_quotient_rejects_entries_out_of_range(entry):
     swap[3] = entry
     with pytest.raises(BadParameters):
         quotient(cover, swap)
+
+
+def test_quotient_refuses_entries_that_are_not_integers():
+    cover = i_double(platonic("tetrahedron"), (1,)).system
+    swap = np.arange(48) ^ 1
+    for u in (swap + 0.4, swap + 0.0, swap.astype(str), swap % 2 == 0,
+              swap.tolist()[:-1] + [2**63]):
+        with pytest.raises(BadParameters, match="deck map entries must be integers in 0..47"):
+            quotient(cover, u)
 
 
 def test_recognize_round_trip():

@@ -52,6 +52,41 @@ def test_validate_out_of_range():
     assert (info.value.i, info.value.f, info.value.value) == (2, 3, -10**20)
 
 
+@pytest.mark.parametrize("bad", [
+    [1.9, 0.2], [1.0, 0.0], ["1", "0"], [True, False], np.array([1, 0], dtype=object) + 0.5,
+    [1.5, 2**70],
+])
+def test_validate_refuses_entries_that_are_not_integers(bad):
+    with pytest.raises(BadParameters, match="connection r1 has entries that are not integers"):
+        validate(1, 2, [[1, 0], bad])
+
+
+def test_validate_checks_lengths_before_entries():
+    for bad, size in ((1.5, 1), ([0.5, 1.5, 2.5], 3), ([], 0)):
+        with pytest.raises(BadParameters, match=f"connection r1 has length {size}, expected 2"):
+            validate(1, 2, [[1, 0], bad])
+
+
+@pytest.mark.parametrize("huge", [2**63, 2**64 + 1, -2**63 - 1])
+def test_validate_reports_huge_integers_as_out_of_range(huge):
+    for conn in ([1, huge], np.array([1, huge], dtype=object)):
+        with pytest.raises(OutOfRange) as info:
+            validate(1, 2, [[1, 0], conn])
+        assert (info.value.i, info.value.f, info.value.value) == (1, 1, huge)
+    with pytest.raises(OutOfRange) as info:
+        validate(1, 2, [[1, 0], np.array([1, 2**63], dtype=np.uint64)])
+    assert info.value.value == 2**63
+
+
+def test_validate_keeps_intp_and_converts_other_integers():
+    conns = [np.array(c, dtype=np.intp) for c in CROSSCAP]
+    assert all(a is b for a, b in zip(validate(2, 4, conns).connections, conns))
+    for dtype in (np.int8, np.uint16, np.int32):
+        system = validate(2, 4, [np.array(c, dtype=dtype) for c in CROSSCAP])
+        assert system == validate(2, 4, CROSSCAP)
+        assert all(c.dtype == np.intp for c in system.connections)
+
+
 def test_validate_not_involution():
     with pytest.raises(NotInvolution):
         validate(2, 4, ([1, 2, 3, 0], [3, 2, 1, 0], [2, 3, 0, 1]))
@@ -213,6 +248,10 @@ def test_check_projection():
     bad[0] = (bad[0] + 1) % 24
     ok, sheets = check_projection(result.system, tetra, bad)
     assert not ok and sheets is None
+    phi = result.projection
+    for other in (phi + 0.3, phi + 0.0, phi.astype(str), list(phi[:-1]) + [2**70]):
+        assert check_projection(result.system, tetra, other) == (False, None)
+    assert check_projection(result.system, tetra, phi.astype(np.uint8)) == (True, 2)
 
 
 def test_cell_value_semantics():

@@ -19,14 +19,16 @@ import orbit_reference as ref
 from cases import CORPUS, DOUBLES, color_sets
 from mapforge import (
     ColoringGroup,
+    CorpusSpec,
     cell_labels,
     coloring_group,
     find_coloring,
     platonic,
+    run_verify,
     subgroup_closure,
     validate,
 )
-from mapforge.coloring import _cell_pass, _shared_group
+from mapforge.coloring import _cell_pass, _eliminated, _orthogonal_group, _shared_group
 
 def _twin(system):
     """An equal system sharing no arrays and no caches with `system`."""
@@ -92,6 +94,7 @@ def test_each_coloring_group_is_built_once(monkeypatch):
     systems = [(name, _twin(system), ref.coloring_group(system).masks)
                for name, system in CORPUS + DOUBLES]
     _shared_group.cache_clear()
+    _eliminated.cache_clear()
     monkeypatch.setattr(ColoringGroup, "__post_init__", counted)
     groups = {}
     for name, system, want in systems:
@@ -103,6 +106,18 @@ def test_each_coloring_group_is_built_once(monkeypatch):
     assert subgroup_closure(2, [1, 2]) is not subgroup_closure(3, [1, 2])
     with pytest.raises(dataclasses.FrozenInstanceError):
         subgroup_closure(2, [1]).masks = frozenset({0})
+
+
+def test_each_orthogonal_group_is_eliminated_once():
+    """A default verify pass asks for 1,123 orthogonal groups of 59 distinct
+    (rank, cycle basis) pairs, and eliminates each pair once."""
+    _eliminated.cache_clear()
+    lines = []
+    assert run_verify(CorpusSpec(), emit=lines.append), lines
+    info = _eliminated.cache_info()
+    assert (info.misses, info.hits) == (59, 1064)
+    assert _orthogonal_group(2, [3, 5]) is _orthogonal_group(2, (3, 5))
+    assert _orthogonal_group(2, [5, 3]) == _orthogonal_group(2, [3, 5])
 
 
 def test_cell_route_fills_the_label_cache(monkeypatch):
