@@ -492,9 +492,16 @@ def _edge_corners(system: FlagSystem, edge: Cell) -> tuple[int, int, int, int]:
 
 
 def _edge_flags(system: FlagSystem) -> np.ndarray:
-    """Smallest flag of every edge, ascending: edge i of cell_labels(system, 1)."""
-    f, b, c, d = _corners(system, np.arange(system.flag_count))
-    return np.flatnonzero((f < b) & (f < c) & (f < d))
+    """Smallest flag of every edge, ascending: edge i of cell_labels(system, 1).
+    Made once per system and kept, read-only, beside its cached properties;
+    a cached_property would cost more than the list on small maps."""
+    edges = vars(system).get("_edges")
+    if edges is None:
+        f, b, c, d = _corners(system, np.arange(system.flag_count))
+        edges = np.flatnonzero((f < b) & (f < c) & (f < d))
+        edges.setflags(write=False)
+        vars(system)["_edges"] = edges
+    return edges
 
 
 def _insert_edges(system: FlagSystem, flags, letter: int) -> FlagSystem:

@@ -24,7 +24,8 @@ immutable, so it caches one parity pass (FlagSystem._parity, whose
 potentials an I-double keeps from the pass that built it), the
 coloring group read off it (FlagSystem._group), the transport plan of
 the isomorphism search (FlagSystem._plan), the invariant flag classes
-that is_isomorphic falls back on (FlagSystem._classes) and, per cell
+that is_isomorphic falls back on (FlagSystem._classes), the edge list
+that make_property's surgeries read (construct._edge_flags) and, per cell
 dimension, one label pass (cell_labels) and one cell route
 (coloring._cell_route); pso-oracle compares the two routes at every
 rank.  _union runs the kernel over disjoint unions, up to _FILL nodes a
@@ -265,9 +266,8 @@ def validate(rank: int, flag_count: int, raw_connections) -> FlagSystem:
             # ints that numpy holds in no integer dtype: one lies outside int64
             f = next(f for f, v in enumerate(raw) if not 0 <= v < flag_count)
             raise OutOfRange(i, f, int(raw[f]), flag_count)
-        bad = np.nonzero((arr < 0) | (arr >= flag_count))[0]
-        if bad.size:
-            f = int(bad[0])
+        if arr.min() < 0 or arr.max() >= flag_count:
+            f = int(np.flatnonzero((arr < 0) | (arr >= flag_count))[0])
             raise OutOfRange(i, f, int(arr[f]), flag_count)
         arr = arr.astype(np.intp, copy=False)
         fixed = np.nonzero(arr == ident)[0]
@@ -293,9 +293,8 @@ def validate(rank: int, flag_count: int, raw_connections) -> FlagSystem:
 def _require_connected(conns) -> None:
     """Raise Disconnected unless one _orbits pass over `conns` finds one orbit."""
     root, _, _ = _orbits(len(conns[0]), [(None, c) for c in conns])
-    components = np.count_nonzero(root == np.arange(root.size))
-    if components != 1:
-        raise Disconnected(int(components))
+    if root.any():  # every root is flag 0 exactly when there is one orbit
+        raise Disconnected(int(np.count_nonzero(root == np.arange(root.size))))
 
 
 def _assemble(rank: int, conns, pot=None) -> FlagSystem:

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -208,32 +209,47 @@ def test_array_parser_matches_reference_on_one_flag(r0):
     assert_parses_like_reference(f"rank 1\nflags 1\nr0:{r0}\nr1: 0\n")
 
 
-def test_numpy_1x_trailing_junk_warning_is_a_failure(monkeypatch):
-    """numpy before 2.0 warns and returns the numbers read so far."""
-    text = "rank 1\nflags 2\nr0: 1 0 x\nr1: 1 0\n"
-
-    def fromstring_1x(string, dtype, sep):
+def _fromstring_1x(string, dtype, sep):
+    """numpy before 2.0: warns on unmatched data and returns the numbers read so far."""
+    tokens = string.split()
+    numbers = list(itertools.takewhile(str.isdigit, tokens))
+    if len(numbers) < len(tokens):
         warnings.warn("string or file could not be read to its end due to "
                       "unmatched data", DeprecationWarning, stacklevel=2)
-        return np.array([1, 0], dtype=dtype)
+    return np.array([int(t) for t in numbers], dtype=dtype)
 
+
+def _assert_trailing_junk_fails(monkeypatch, count):
+    swap = " ".join(str(f ^ 1) for f in range(count))
+    text = f"rank 1\nflags {count}\nr0: {swap} x\nr1: {swap}\n"
     for patch in (False, True):
         if patch:
-            monkeypatch.setattr(fileio.np, "fromstring", fromstring_1x)
+            monkeypatch.setattr(fileio.np, "fromstring", _fromstring_1x)
         with pytest.raises(FlagFileError) as info:
             parse_flag_text(text)
         assert (info.value.line, info.value.column) == (3, 4)
-        assert "connection r0 lists 3 images, expected 2" in str(info.value)
+        assert f"connection r0 lists {count + 1} images, expected {count}" in str(info.value)
+
+
+def test_numpy_1x_trailing_junk_warning_is_a_failure(monkeypatch):
+    _assert_trailing_junk_fails(monkeypatch, 2)
+
+
+def test_numpy_1x_trailing_junk_warning_is_a_failure_above_the_cutover(monkeypatch):
+    # the rows total 1,457,788 characters, above fileio._PARALLEL_ROWS: a
+    # thread decodes r1 and declines r0, which the parser reads itself
+    _assert_trailing_junk_fails(monkeypatch, 120_000)
 
 
 ORACLE_SEEDS = [write_flag_text(invoke_generator(text)).encode()
                 for text in ("polygon aA", "tetrahedron", "crosscap 2", "cube-maniplex 3")]
 
-# digits, signs, separators (ASCII, no-break space, em space), the bytes
-# of an Arabic-Indic one, letters and punctuation int() or numpy accept
-# in some other form, NUL and a byte that is not UTF-8
-ORACLE_NOISE = [bytes([b]) for b in b"0123456789+- \t\x0b\n:#x._e\x00\xff"] + [
-    "\u00a0".encode(), "\u2003".encode(), "\u0661".encode()]
+# digits, signs, separators (ASCII, no-break space, em space), line
+# breaks of str.splitlines other than LF (CR, VT, 0x1c, the line
+# separator), the bytes of an Arabic-Indic one, letters and punctuation
+# int() or numpy accept in some other form, NUL and a byte that is not UTF-8
+ORACLE_NOISE = [bytes([b]) for b in b"0123456789+- \t\x0b\r\x1c\n:#x._e\x00\xff"] + [
+    "\u00a0".encode(), "\u2003".encode(), "\u2028".encode(), "\u0661".encode()]
 
 
 @st.composite
@@ -256,6 +272,38 @@ def mutated_flag_texts(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(mutated_flag_texts())
 def test_array_parser_matches_reference_on_mutated_files(text):
+    assert_parses_like_reference(text)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_flag_texts())
+def test_pooled_parser_matches_reference_on_mutated_files(text):
+    # every connection line goes to the decoding threads, where there are two cores
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fileio, "_PARALLEL_ROWS", 0)
+        assert_parses_like_reference(text)
+
+
+# every line break of str.splitlines but LF, which the parser finds by str.find
+SEPARATORS = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pooled"])
+@pytest.mark.parametrize("where", ["header", "between-rows", "inside-row", "end",
+                                   "before-trailing-line"])
+@pytest.mark.parametrize("sep", SEPARATORS, ids=ascii)
+def test_line_breaks_parse_like_reference(monkeypatch, sep, where, pooled):
+    if pooled:
+        monkeypatch.setattr(fileio, "_PARALLEL_ROWS", 0)
+    text = {
+        "header": EIGHT.replace("rank 2\n", "rank 2" + sep),
+        "between-rows": EIGHT.replace("6\nr1:", "6" + sep + "r1:"),
+        "inside-row": EIGHT.replace("r1: 3 2 1 0", "r1: 3 2" + sep + "1 0"),
+        "end": EIGHT[:-1] + sep,
+        # the trailing line's number shows how the break was counted
+        "before-trailing-line": EIGHT + sep + "x" + sep,
+    }[where]
     assert_parses_like_reference(text)
 
 
