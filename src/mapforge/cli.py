@@ -14,9 +14,11 @@ field or an unknown generator; a seed (spec, ``MAPFORGE_SEED`` or
 (``-o``, ``--sidecar``, ``verify --dump``) that cannot be written.
 
 ``main(argv)`` may be called repeatedly in one process: the first call
-builds the parser and later calls reuse it.  Verbs look up their library
-functions in this module at call time, so rebinding one here (a tracer,
-a test spy) takes effect on the next call.
+builds the parser and later calls reuse it.  ``_VERBS`` is the one list
+of verbs, their help and their options.  It holds only the ``cmd_*``
+commands, which look up their library functions in this module at call
+time, so rebinding one here (a tracer, a test spy) takes effect on the
+next call.
 """
 
 from __future__ import annotations
@@ -316,21 +318,57 @@ def cmd_verify(args) -> int:
 # --- parser ----------------------------------------------------------
 
 
-def _add_io(sub, output=True):
-    sub.add_argument("file", help="flag file, or - for stdin")
-    if output:
-        sub.add_argument("-o", "--output", default="-",
-                         help="output flag file (default stdout)")
+def _arg(*flags, **kwargs):
+    """One option: the arguments of an ``add_argument`` call."""
+    return flags, kwargs
 
 
-def _add_json(sub):
-    sub.add_argument("--json", action="store_true",
-                     help="machine-readable report")
+_IN = (_arg("file", help="flag file, or - for stdin"),)
+_IO = _IN + (_arg("-o", "--output", default="-", help="output flag file (default stdout)"),)
+_OUT = _arg("-o", "--output", default="-")
+_JSON = (_arg("--json", action="store_true", help="machine-readable report"),)
+_SIDECAR = (_arg("--sidecar", default=None,
+                 help="write the sidecar report to this file instead of stderr"),)
+_SET = _arg("-I", dest="set", required=True)
+_TWO_FILES = (_arg("file_a"), _arg("file_b"))
 
-
-def _add_sidecar(sub):
-    sub.add_argument("--sidecar", default=None,
-                     help="write the sidecar report to this file instead of stderr")
+# verb -> (help, command, file arguments, own options, report option),
+# added in that order; quotient's --u and --u-file go before its report.
+_VERBS = {
+    "validate": ("check a flag file against the axioms", cmd_validate, _IN, (), _JSON),
+    "info": ("cell counts, surface, coloring group", cmd_info, _IN, (), _JSON),
+    "color": ("find an I-coloring", cmd_color, _IN,
+              (_arg("-I", dest="set", required=True, help="color set, e.g. 02 or e"),), _JSON),
+    "tgroup": ("compute the coloring group", cmd_tgroup, _IN, (), _JSON),
+    "pso": ("direct pseudo-orientation oracle", cmd_pso, _IN,
+            (_arg("--kind", required=True, choices=tuple(PSO_KINDS)),), _JSON),
+    **{name: (f"apply the {name} operator", cmd_transform, _IO, (), ())
+       for name in ("dual", "petrie", "opp", "medial")},
+    "double": ("two-sheet cover flipping across I", cmd_double, _IO, (_SET,), _SIDECAR),
+    "sherk": ("vertex double of a non-vertex-bipartite map", cmd_sherk, _IO, (), _SIDECAR),
+    "recognize-double": ("find a base whose I-double this map is", cmd_recognize_double,
+                         _IO, (_SET,), _SIDECAR),
+    "quotient": ("quotient by a deck involution", cmd_quotient, _IO, (), _SIDECAR),
+    "sum": ("connected sum along same-degree faces", cmd_sum, (), _TWO_FILES + (
+        _arg("--flags", required=True, help="fA,fB: one flag on the chosen face of each map"),
+        _OUT), ()),
+    **{name: (f"{name.replace('-', ' ')} surgery", cmd_surgery, _IO,
+              (_arg("--edge", type=int, required=True, help="any flag on the target edge"),), ())
+       for name in ("subdivide", "double-edge", "triple-edge")},
+    "gen": ("generate a named map", cmd_gen, (),
+            (_arg("name"), _arg("params", nargs="*", help="generator parameters"), _OUT), ()),
+    "build-group": ("realize a coloring group on a surface", cmd_build_group, (), (
+        _arg("--group", required=True, help="e.g. e,0,12,012"),
+        _arg("--surface", required=True, help="o<g> or n<k>"),
+        _OUT), ()),
+    "iso": ("test two flag files for isomorphism", cmd_iso, (), _TWO_FILES, _JSON),
+    "verify": ("run property checks over a corpus", cmd_verify, (), (
+        _arg("--corpus", default=None, help="corpus spec JSON file"),
+        _arg("--seed", type=int, default=None),
+        _arg("--workers", type=int, default=None),
+        _arg("--operations", default=None, help="comma-separated check ids (default: all)"),
+        _arg("--dump", default=None, help="directory for flag files of failing cells")), ()),
+}
 
 
 @functools.cache
@@ -339,112 +377,19 @@ def _parser() -> argparse.ArgumentParser:
         prog="mapforge",
         description="Flag-system toolkit: maps, colorings, doubles, surgery.")
     verbs = parser.add_subparsers(dest="verb", required=True)
-
-    sub = verbs.add_parser("validate", help="check a flag file against the axioms")
-    _add_io(sub, output=False)
-    _add_json(sub)
-    sub.set_defaults(func=cmd_validate)
-
-    sub = verbs.add_parser("info", help="cell counts, surface, coloring group")
-    _add_io(sub, output=False)
-    _add_json(sub)
-    sub.set_defaults(func=cmd_info)
-
-    sub = verbs.add_parser("color", help="find an I-coloring")
-    _add_io(sub, output=False)
-    sub.add_argument("-I", dest="set", required=True,
-                     help="color set, e.g. 02 or e")
-    _add_json(sub)
-    sub.set_defaults(func=cmd_color)
-
-    sub = verbs.add_parser("tgroup", help="compute the coloring group")
-    _add_io(sub, output=False)
-    _add_json(sub)
-    sub.set_defaults(func=cmd_tgroup)
-
-    sub = verbs.add_parser("pso", help="direct pseudo-orientation oracle")
-    _add_io(sub, output=False)
-    sub.add_argument("--kind", required=True, choices=tuple(PSO_KINDS))
-    _add_json(sub)
-    sub.set_defaults(func=cmd_pso)
-
-    for name in ("dual", "petrie", "opp", "medial"):
-        sub = verbs.add_parser(name, help=f"apply the {name} operator")
-        _add_io(sub)
-        sub.set_defaults(func=cmd_transform)
-
-    sub = verbs.add_parser("double", help="two-sheet cover flipping across I")
-    _add_io(sub)
-    sub.add_argument("-I", dest="set", required=True)
-    _add_sidecar(sub)
-    sub.set_defaults(func=cmd_double)
-
-    sub = verbs.add_parser("sherk", help="vertex double of a non-vertex-bipartite map")
-    _add_io(sub)
-    _add_sidecar(sub)
-    sub.set_defaults(func=cmd_sherk)
-
-    sub = verbs.add_parser("recognize-double",
-                           help="find a base whose I-double this map is")
-    _add_io(sub)
-    sub.add_argument("-I", dest="set", required=True)
-    _add_sidecar(sub)
-    sub.set_defaults(func=cmd_recognize_double)
-
-    sub = verbs.add_parser("quotient", help="quotient by a deck involution")
-    _add_io(sub)
-    deck = sub.add_mutually_exclusive_group(required=True)
-    deck.add_argument("--u", default=None,
-                      help="deck permutation as whitespace/comma separated flags")
-    deck.add_argument("--u-file", default=None,
-                      help="file holding the deck permutation")
-    _add_sidecar(sub)
-    sub.set_defaults(func=cmd_quotient)
-
-    sub = verbs.add_parser("sum", help="connected sum along same-degree faces")
-    sub.add_argument("file_a")
-    sub.add_argument("file_b")
-    sub.add_argument("--flags", required=True,
-                     help="fA,fB: one flag on the chosen face of each map")
-    sub.add_argument("-o", "--output", default="-")
-    sub.set_defaults(func=cmd_sum)
-
-    for name in ("subdivide", "double-edge", "triple-edge"):
-        sub = verbs.add_parser(name, help=f"{name.replace('-', ' ')} surgery")
-        _add_io(sub)
-        sub.add_argument("--edge", type=int, required=True,
-                         help="any flag on the target edge")
-        sub.set_defaults(func=cmd_surgery)
-
-    sub = verbs.add_parser("gen", help="generate a named map")
-    sub.add_argument("name")
-    sub.add_argument("params", nargs="*", help="generator parameters")
-    sub.add_argument("-o", "--output", default="-")
-    sub.set_defaults(func=cmd_gen)
-
-    sub = verbs.add_parser("build-group",
-                           help="realize a coloring group on a surface")
-    sub.add_argument("--group", required=True, help="e.g. e,0,12,012")
-    sub.add_argument("--surface", required=True, help="o<g> or n<k>")
-    sub.add_argument("-o", "--output", default="-")
-    sub.set_defaults(func=cmd_build_group)
-
-    sub = verbs.add_parser("iso", help="test two flag files for isomorphism")
-    sub.add_argument("file_a")
-    sub.add_argument("file_b")
-    _add_json(sub)
-    sub.set_defaults(func=cmd_iso)
-
-    sub = verbs.add_parser("verify", help="run property checks over a corpus")
-    sub.add_argument("--corpus", default=None, help="corpus spec JSON file")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--workers", type=int, default=None)
-    sub.add_argument("--operations", default=None,
-                     help="comma-separated check ids (default: all)")
-    sub.add_argument("--dump", default=None,
-                     help="directory for flag files of failing cells")
-    sub.set_defaults(func=cmd_verify)
-
+    for verb, (text, command, files, own, report) in _VERBS.items():
+        sub = verbs.add_parser(verb, help=text)
+        for flags, kwargs in files + own:
+            sub.add_argument(*flags, **kwargs)
+        if verb == "quotient":
+            deck = sub.add_mutually_exclusive_group(required=True)
+            deck.add_argument("--u", default=None,
+                              help="deck permutation as whitespace/comma separated flags")
+            deck.add_argument("--u-file", default=None,
+                              help="file holding the deck permutation")
+        for flags, kwargs in report:
+            sub.add_argument(*flags, **kwargs)
+        sub.set_defaults(func=command)
     return parser
 
 

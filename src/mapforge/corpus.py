@@ -114,53 +114,48 @@ DEFAULT_GENERATORS = (
 )
 
 
+# name -> (arity, builder).  The builders are lambdas that look their
+# function up in this module when called, so rebinding one here (a
+# tracer, a test's reference) takes effect.  A string arity names the
+# one word taken as it is; strip's None is h, parity and any swap rows.
+_GENERATORS = {
+    **{name: (0, lambda name=name: platonic(name)) for name in PLATONIC_NAMES},
+    "tri-torus": (2, lambda m, n: tri_torus(m, n)),
+    "grid": (3, lambda m, n, k: grid_map(m, n, k)),
+    "strip": (None, lambda h, parity, *swaps: strip_map(h, list(swaps), parity)),
+    "polygon": ("one gluing word", lambda word: polygon_gluing(word)),
+    "crosscap": (1, lambda k: crosscap_map(k)),
+    "cube-maniplex": (1, lambda n: cube_maniplex(n)),
+    "file": ("one path", lambda path: read_flag_file(path)),
+}
+
+
 def invoke_generator(text: str) -> FlagSystem:
-    """Build a map from a one-line invocation such as ``grid 5 7 3``."""
+    """Build a map from a one-line invocation such as ``grid 5 7 3``.
+
+    ``_GENERATORS`` gives each name's arity and builder.  The arguments
+    are parsed before the builder runs, so its own errors pass unchanged.
+    """
     tokens = text.split()
     if not tokens:
         raise BadParameters("empty generator invocation")
     name, args = tokens[0], tokens[1:]
-
-    def ints(count):
-        if len(args) != count:
-            raise BadParameters(f"{name} takes {count} argument(s), got {len(args)}")
-        try:
-            return [int(a) for a in args]
-        except ValueError:
-            raise BadParameters(f"{name}: arguments must be integers: {args}") from None
-
-    if name in PLATONIC_NAMES:
-        ints(0)
-        return platonic(name)
-    if name == "tri-torus":
-        m, n = ints(2)
-        return tri_torus(m, n)
-    if name == "grid":
-        m, n, k = ints(3)
-        return grid_map(m, n, k)
-    if name == "strip":
-        if len(args) < 2:
-            raise BadParameters("strip takes h and parity, then optional swap rows")
-        try:
-            nums = [int(a) for a in args]
-        except ValueError:
-            raise BadParameters(f"strip: arguments must be integers: {args}") from None
-        return strip_map(nums[0], nums[2:], nums[1])
-    if name == "polygon":
+    if name not in _GENERATORS:
+        raise UnknownName(name, tuple(_GENERATORS))
+    arity, build = _GENERATORS[name]
+    if isinstance(arity, str):
         if len(args) != 1:
-            raise BadParameters("polygon takes one gluing word")
-        return polygon_gluing(args[0])
-    if name == "crosscap":
-        return crosscap_map(ints(1)[0])
-    if name == "cube-maniplex":
-        return cube_maniplex(ints(1)[0])
-    if name == "file":
-        if len(args) != 1:
-            raise BadParameters("file takes one path")
-        return read_flag_file(args[0])
-    options = tuple(PLATONIC_NAMES) + (
-        "tri-torus", "grid", "strip", "polygon", "crosscap", "cube-maniplex", "file")
-    raise UnknownName(name, options)
+            raise BadParameters(f"{name} takes {arity}")
+        return build(args[0])
+    if arity is None and len(args) < 2:
+        raise BadParameters("strip takes h and parity, then optional swap rows")
+    if arity is not None and len(args) != arity:
+        raise BadParameters(f"{name} takes {arity} argument(s), got {len(args)}")
+    try:
+        nums = [int(a) for a in args]
+    except ValueError:
+        raise BadParameters(f"{name}: arguments must be integers: {args}") from None
+    return build(*nums)
 
 
 def random_surgery(system: FlagSystem, rng: np.random.Generator) -> FlagSystem:

@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import cli_reference
 import mapforge.cli as cli
 import mapforge.coloring as coloring
 import mapforge.flagsys as flagsys
@@ -824,6 +825,66 @@ def test_help_is_the_same_on_every_call(capsys, verb):
     assert texts[0].startswith("usage: mapforge" + ("" if verb is None else f" {verb} "))
     if verb is None:
         assert "{" + ",".join(VERBS) + "}" in texts[0]
+
+
+def _parse(parser, argv, capsys):
+    """The namespace `parser` makes of argv, or its exit code and output."""
+    try:
+        namespace = parser.parse_args(argv)
+    except SystemExit as exc:
+        out, err = capsys.readouterr()
+        return exc.code, out, err
+    return vars(namespace)
+
+
+@pytest.mark.parametrize("verb", (None,) + VERBS)
+def test_help_matches_the_hand_written_parser(capsys, verb):
+    argv = ["--help"] if verb is None else [verb, "--help"]
+    want = _parse(cli_reference._parser(), argv, capsys)
+    assert want[0] == 0 and want[1].startswith("usage: mapforge")
+    assert _parse(cli._parser(), argv, capsys) == want
+
+
+PARSE_CASES = [
+    [], ["frobnicate"], ["validate"], ["validate", "a.flags"], ["validate", "-", "--json"],
+    ["info", "a.flags", "--json"], ["info", "a.flags", "--bogus"],
+    ["color", "a.flags", "-I", "02"], ["color", "a.flags", "-I", "e", "--json"],
+    ["color", "a.flags"], ["color", "a.flags", "-o", "b.flags", "-I", "0"],
+    ["tgroup", "-"], ["tgroup", "-", "--sidecar", "s.txt"],
+    ["pso", "a.flags", "--kind", "face"], ["pso", "-", "--kind", "vertex", "--json"],
+    ["pso", "a.flags", "--kind", "edge"], ["pso", "a.flags"],
+    ["dual", "a.flags"], ["petrie", "-", "-o", "b.flags"], ["opp", "a.flags", "--output", "b"],
+    ["medial", "a.flags", "--json"],
+    ["double", "a.flags", "-I", "0", "--sidecar", "s.txt"], ["double", "a.flags", "-o", "b"],
+    ["sherk", "a.flags", "-o", "b.flags"], ["sherk", "-", "--sidecar", "-"],
+    ["recognize-double", "a.flags", "-I", "1", "-o", "b.flags"], ["recognize-double", "-"],
+    ["quotient", "a.flags", "--u", "1,0"], ["quotient", "a.flags", "--u", "1 0", "-o", "b"],
+    ["quotient", "a.flags", "--u-file", "u.txt", "--sidecar", "s.txt"],
+    ["quotient", "a.flags", "--u", "1,0", "--u-file", "u.txt"], ["quotient", "a.flags"],
+    ["sum", "a.flags", "b.flags", "--flags", "0,0"],
+    ["sum", "a.flags", "b.flags", "--flags", "1,2", "-o", "c.flags"],
+    ["sum", "a.flags", "--flags", "0,0"], ["sum", "a.flags", "b.flags"],
+    ["subdivide", "a.flags", "--edge", "3"], ["double-edge", "-", "--edge", "0", "-o", "b"],
+    ["triple-edge", "a.flags", "--edge", "x"], ["triple-edge", "a.flags"],
+    ["gen", "cube"], ["gen", "grid", "3", "3", "0", "-o", "g.flags"], ["gen", "grid", "3", "-1"],
+    ["gen"],
+    ["build-group", "--group", "e,0", "--surface", "o1"],
+    ["build-group", "--surface", "n2", "--group", "e", "-o", "m.flags"],
+    ["build-group", "--group", "e"],
+    ["iso", "a.flags", "b.flags"], ["iso", "a.flags", "b.flags", "--json"], ["iso", "a.flags"],
+    ["verify"], ["verify", "--seed", "3", "--workers", "2", "--operations", "axioms,tgroup",
+                 "--dump", "out", "--corpus", "spec.json"],
+    ["verify", "--seed", "x"], ["verify", "a.flags"],
+]
+
+
+def test_every_verb_is_in_the_parse_cases():
+    assert {argv[0] for argv in PARSE_CASES if argv} >= set(VERBS)
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+def test_parse_matches_the_hand_written_parser(capsys, argv):
+    assert _parse(cli._parser(), argv, capsys) == _parse(cli_reference._parser(), argv, capsys)
 
 
 def test_color_and_pso_text_is_the_per_element_text(run, tmp_path):

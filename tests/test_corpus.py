@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+import mapforge.corpus as corpus
 from mapforge import (
     ColorSet,
     ColoringGroup,
@@ -46,19 +47,74 @@ def test_invoke_generator_file(tmp_path):
     assert is_isomorphic(loaded, platonic("tetrahedron")) is not None
 
 
+GENERATOR_OPTIONS = ("cube, dodecahedron, icosahedron, octahedron, tetrahedron, tri-torus, "
+                     "grid, strip, polygon, crosscap, cube-maniplex, file")
+GENERATOR_ERRORS = [
+    ("", BadParameters, "empty generator invocation"),
+    ("   ", BadParameters, "empty generator invocation"),
+    ("moebius", UnknownName, f"unknown name 'moebius' (expected one of {GENERATOR_OPTIONS})"),
+    ("cube 1", BadParameters, "cube takes 0 argument(s), got 1"),
+    ("tetrahedron 2 3", BadParameters, "tetrahedron takes 0 argument(s), got 2"),
+    ("tri-torus 2", BadParameters, "tri-torus takes 2 argument(s), got 1"),
+    ("tri-torus 2 2 2", BadParameters, "tri-torus takes 2 argument(s), got 3"),
+    ("grid 3 3", BadParameters, "grid takes 3 argument(s), got 2"),
+    ("grid 1 2 3 4", BadParameters, "grid takes 3 argument(s), got 4"),
+    ("crosscap", BadParameters, "crosscap takes 1 argument(s), got 0"),
+    ("crosscap 1 2", BadParameters, "crosscap takes 1 argument(s), got 2"),
+    ("cube-maniplex", BadParameters, "cube-maniplex takes 1 argument(s), got 0"),
+    ("cube-maniplex 3 4", BadParameters, "cube-maniplex takes 1 argument(s), got 2"),
+    ("tri-torus a b", BadParameters, "tri-torus: arguments must be integers: ['a', 'b']"),
+    ("tri-torus 1.5 2", BadParameters, "tri-torus: arguments must be integers: ['1.5', '2']"),
+    ("grid a 2 3", BadParameters, "grid: arguments must be integers: ['a', '2', '3']"),
+    ("crosscap two", BadParameters, "crosscap: arguments must be integers: ['two']"),
+    ("cube-maniplex x", BadParameters, "cube-maniplex: arguments must be integers: ['x']"),
+    ("strip", BadParameters, "strip takes h and parity, then optional swap rows"),
+    ("strip 1", BadParameters, "strip takes h and parity, then optional swap rows"),
+    ("strip x", BadParameters, "strip takes h and parity, then optional swap rows"),
+    ("strip 1 x", BadParameters, "strip: arguments must be integers: ['1', 'x']"),
+    ("polygon", BadParameters, "polygon takes one gluing word"),
+    ("polygon a b", BadParameters, "polygon takes one gluing word"),
+    ("file", BadParameters, "file takes one path"),
+    ("file a b", BadParameters, "file takes one path"),
+    # the builders' own errors, raised after every argument parsed
+    ("tri-torus 0 3", BadParameters, "tri-torus dimensions must be positive, got 0x3"),
+    ("grid 3 3 -1", BadParameters, "twist count -1 out of range 0..3"),
+    ("strip 2 0 1", BadParameters, "swaps must lie in 0..0, got [1]"),
+    ("crosscap 0", BadParameters, "need at least one crosscap, got 0"),
+    ("cube-maniplex 1", BadParameters, "cube dimension must be >= 2, got 1"),
+]
+
+
 def test_invoke_generator_errors():
-    with pytest.raises(UnknownName):
-        invoke_generator("moebius")
-    with pytest.raises(BadParameters):
-        invoke_generator("grid 3 3")
-    with pytest.raises(BadParameters):
-        invoke_generator("tri-torus 2 2 2")
-    with pytest.raises(BadParameters):
-        invoke_generator("crosscap two")
-    with pytest.raises(BadParameters):
-        invoke_generator("")
+    for text, kind, message in GENERATOR_ERRORS:
+        with pytest.raises(kind) as exc:
+            invoke_generator(text)
+        assert type(exc.value) is kind and str(exc.value) == message, text
     with pytest.raises(FlagFileError):
         invoke_generator("file /nonexistent/map.flags")
+
+
+@pytest.mark.parametrize("name, text", [
+    ("platonic", "cube"), ("tri_torus", "tri-torus 2 3"), ("grid_map", "grid 3 5 1"),
+    ("strip_map", "strip 2 1 0"), ("polygon_gluing", "polygon abAB"),
+    ("crosscap_map", "crosscap 3"), ("cube_maniplex", "cube-maniplex 3"),
+    ("read_flag_file", "file"),
+])
+def test_generators_call_what_the_module_binds_now(monkeypatch, tmp_path, name, text):
+    if text == "file":
+        path = tmp_path / "map.flags"
+        write_flag_file(platonic("tetrahedron"), str(path))
+        text = f"file {path}"
+    first = invoke_generator(text)  # a first call, before the spy goes in
+    real, calls = getattr(corpus, name), []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(corpus, name, spy)
+    assert invoke_generator(text) == first
+    assert len(calls) == 1
 
 
 def test_random_surgery_preserves_surface():
