@@ -6,15 +6,12 @@ sets admitting a coloring form a subgroup of the power set of
 {0..rank} under symmetric difference; that subgroup is the central
 invariant computed here.
 
-The parity pass (FlagSystem._parity) runs the orbit kernel (flagsys._orbits)
-once with flip 1<<j on letter j: T(M) holds the color sets meeting every
-cycle mask it leaves evenly, and an I-coloring XORs the bits j in I of its
-potentials.  find_coloring and coloring_group read it, and the system
-keeps the group.  The cell route (_cell_route, cached per dimension d)
-never does: it colors inside each d-cell, then relates the cells across
-r_d.  direct_pso, i_face_bipartite and construct._conflicts read it;
-pso-oracle compares its T(M) with coloring_group at every rank and d.
-Both handle rank up to 63.
+The parity pass (flagsys._parity) runs the orbit kernel once with flip
+1<<j on letter j; find_coloring and coloring_group read it.  The cell
+route (_cell_route, per dimension d) reads no parity pass: direct_pso,
+i_face_bipartite and construct._conflicts read the route, and pso-oracle
+compares its T(M) with coloring_group at every rank and d.  Both handle
+rank up to 63.
 """
 
 from __future__ import annotations
@@ -36,9 +33,13 @@ from .flagsys import (
     Cell,
     FlagSystem,
     _cycle_basis,
+    _derived,
     _freeze,
+    _labels,
     _orbits,
+    _parity,
     _root_labels,
+    _seed,
     apply_word,
     cell_labels,
 )
@@ -232,11 +233,10 @@ def find_coloring(system: FlagSystem, color_set) -> Coloring | None:
     """Parity potentials of the orbit kernel, with flag 0 colored 0.
 
     Returns the canonical I-coloring, or None when some cycle forces a
-    contradiction.  The only other coloring is its complement.  Reads the
-    cached parity pass, so like coloring_group it handles rank up to 63.
+    contradiction.  The only other coloring is its complement.
     """
     cs = _as_color_set(system, color_set)
-    pot, basis = system._parity
+    pot, basis = _parity(system)
     if any((c & cs.mask).bit_count() & 1 for c in basis):
         return None
     return Coloring(color_set=cs, assignment=_bits_in(pot, cs.mask))
@@ -297,10 +297,10 @@ def _eliminated(rank: int, cycles: tuple[int, ...]) -> ColoringGroup:
     return subgroup_closure(rank, gens)
 
 
+@_derived
 def coloring_group(system: FlagSystem) -> ColoringGroup:
-    """All color sets admitting a coloring; verified to be a subgroup once
-    per system, which then keeps it (FlagSystem._group)."""
-    return system._group
+    """All color sets admitting a coloring, read off the parity pass once per system."""
+    return _orthogonal_group(system.rank, _parity(system)[1])
 
 
 def coloring_group_excluding_cell(system: FlagSystem, face: Cell) -> ColoringGroup:
@@ -371,25 +371,23 @@ PSO_KINDS = {
 }
 
 
+@_derived
 def _cell_pass(system: FlagSystem, dim: int):
-    """(labels, count, relation, cycle basis arguments) of _cell_route's pass one.
-
-    Its roots are those of cell_labels(system, dim), since flips never steer
-    the kernel's hooks, so a missing cell_labels entry is stored from it.
-    """
-    if (dim, 1) not in system._routes:
-        letters = [(None, c) for j, c in enumerate(system.connections) if j != dim]
-        flips = [1 << j for j in range(system.rank + 1) if j != dim]
-        root, ref, _ = _orbits(system.flag_count, letters, flips)
-        ref = ref.astype(np.min_scalar_type(1 << system.rank), copy=False)  # room for 1 << dim
-        labels, count = system._labels.setdefault(dim, _root_labels(root))
-        relation = (1 << dim) ^ ref ^ ref[system.connections[dim]]
-        system._routes[dim, 1] = labels, count, relation, (ref, letters, flips)
-    return system._routes[dim, 1]
+    """(labels, count, relation, cycle basis arguments) of _cell_route's pass
+    one.  Its roots are those of cell_labels(system, dim), since flips never
+    steer the kernel's hooks, so labels not kept yet are seeded from it."""
+    letters = [(None, c) for j, c in enumerate(system.connections) if j != dim]
+    flips = [1 << j for j in range(system.rank + 1) if j != dim]
+    root, ref, _ = _orbits(system.flag_count, letters, flips)
+    ref = ref.astype(np.min_scalar_type(1 << system.rank), copy=False)  # room for 1 << dim
+    labels, count = _seed(system, _labels, _root_labels(root), dim)
+    relation = (1 << dim) ^ ref ^ ref[system.connections[dim]]
+    return labels, count, relation, (ref, letters, flips)
 
 
+@_derived
 def _cell_route(system: FlagSystem, dim: int):
-    """(labels, relation, bits, basis) of the dimension-`dim` cells, cached.
+    """(labels, relation, bits, basis) of the dimension-`dim` cells, kept.
 
     Pass one (_cell_pass, all that construct._conflicts reads: letters j != dim,
     flip 1 << j) numbers the cells and gives each flag a letter mask ref.  Pass two
@@ -397,13 +395,10 @@ def _cell_route(system: FlagSystem, dim: int):
     ref[f . r_dim] and gives each cell a mask, bits.  Color set I has a coloring, the
     I-parity of ref plus bits, exactly when it meets both passes' cycle bases evenly.
     """
-    if (dim, 2) not in system._routes:
-        labels, count, relation, first = _cell_pass(system, dim)
-        edges = [(labels, labels[system.connections[dim]])]
-        _, bits, _ = _orbits(count, edges, [relation])
-        basis = _cycle_basis(*first) + _cycle_basis(bits, edges, [relation])
-        system._routes[dim, 2] = labels, relation, bits, basis
-    return system._routes[dim, 2]
+    labels, count, relation, first = _cell_pass(system, dim)
+    edges = [(labels, labels[system.connections[dim]])]
+    _, bits, _ = _orbits(count, edges, [relation])
+    return labels, relation, bits, _cycle_basis(*first) + _cycle_basis(bits, edges, [relation])
 
 
 def direct_pso(system: FlagSystem, kind: str) -> ArrowAssignment | None:

@@ -48,6 +48,7 @@ from .flagsys import (
     FlagSystem,
     SurfaceSignature,
     _assemble,
+    _derived,
     _has_odd_cell,
     _require_connected,
     cell_labels,
@@ -491,17 +492,11 @@ def _edge_corners(system: FlagSystem, edge: Cell) -> tuple[int, int, int, int]:
     return corners
 
 
+@_derived
 def _edge_flags(system: FlagSystem) -> np.ndarray:
-    """Smallest flag of every edge, ascending: edge i of cell_labels(system, 1).
-    Made once per system and kept, read-only, beside its cached properties;
-    a cached_property would cost more than the list on small maps."""
-    edges = vars(system).get("_edges")
-    if edges is None:
-        f, b, c, d = _corners(system, np.arange(system.flag_count))
-        edges = np.flatnonzero((f < b) & (f < c) & (f < d))
-        edges.setflags(write=False)
-        vars(system)["_edges"] = edges
-    return edges
+    """Smallest flag of every edge, ascending: edge i of cell_labels(system, 1)."""
+    f, b, c, d = _corners(system, np.arange(system.flag_count))
+    return np.flatnonzero((f < b) & (f < c) & (f < d))
 
 
 def _insert_edges(system: FlagSystem, flags, letter: int) -> FlagSystem:

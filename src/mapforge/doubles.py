@@ -4,9 +4,6 @@ The I-double of a flag system lives on two copies of the flag set and
 crosses sheets exactly along connections in I.  It is connected
 precisely when no I-coloring exists downstairs; when a coloring does
 exist the construction falls apart into two copies of the base.
-Doubles by several color sets come from one flagsys._union over their
-lifts, up to flagsys._FILL nodes a pass unless one double alone is larger;
-each connected double keeps its potentials as its parity pass.
 Quotienting by a sheet-swapping deck involution inverts the
 construction, which is how covers are recognized.
 """
@@ -75,7 +72,7 @@ def _i_doubles(system: FlagSystem, color_sets) -> list[DoubleResult]:
     each letter's two lifts, sheets kept and swapped.  The lift keeps every
     axiom but connectivity, so a block with two roots has split: its (0, 0)
     component, the flags (f, c(f)) for the I-coloring c with c(0) = 0, is the
-    input.  A connected block keeps its potentials as FlagSystem._pot.
+    input.  A connected block's potentials are seeded as its flagsys._pot.
     """
     n2 = 2 * system.flag_count
     ids = np.arange(n2, dtype=np.intp)
@@ -140,7 +137,7 @@ def quotient(system: FlagSystem, u) -> tuple[FlagSystem, np.ndarray]:
     # u has no fixed point, so the smaller member of each orbit is f < u(f)
     reps = np.flatnonzero(ids < u)
     base = validate(system.rank, count, [phi[conn[reps]] for conn in system.connections])
-    return base, phi
+    return base, _freeze(phi)
 
 
 def recognize_i_double(system: FlagSystem, color_set):

@@ -14,44 +14,22 @@ are vertices, edges, faces.
 
 Every orbit question in the package (connectivity, cells, colorings,
 T(M), pseudo-orientations, splitting of doubles) is answered by one
-private numpy kernel, _orbits.  It takes nodes 0..n-1 and groups of
-undirected edges, optionally with an XOR bitmask per edge, and returns
-for every node the smallest node of its orbit plus its bitmask
-potential relative to that node.  It hooks roots onto smaller
-neighbouring roots and pointer-jumps (Shiloach-Vishkin), so a handful of
-whole-array passes replace one Python step per flag.  A system is
-immutable, so it caches one parity pass (FlagSystem._parity, whose
-potentials an I-double keeps from the pass that built it), the
-coloring group read off it (FlagSystem._group), the transport plan of
-the isomorphism search (FlagSystem._plan), the invariant flag classes
-that is_isomorphic falls back on (FlagSystem._classes), the edge list
-that make_property's surgeries read (construct._edge_flags) and, per cell
-dimension, one label pass (cell_labels) and one cell route
-(coloring._cell_route); pso-oracle compares the two routes at every
-rank.  _union runs the kernel over disjoint unions, up to _FILL nodes a
-pass unless one block alone is larger, for doubles._i_doubles and for
-_fill_caches, which fills the label and parity passes that verify's
-surgery-chi and make-property checks read of the maps they grow.
+private numpy kernel, _orbits, which hooks and pointer-jumps
+(Shiloach-Vishkin), so a handful of whole-array passes replace one
+Python step per flag.
 
-The isomorphism search transports candidate images of flag 0 along a
-BFS tree of the source, one level at a time: each level of the plan
-is one gather from the concatenated target connections for a whole
-block of candidates.  The plan (_transport_plan) comes from one Python
-pass over the connections as lists below N * (rank + 1) = _LISTED_PLAN,
-about 430 flags at rank 2 where the two builders cross, and from a
-numpy level loop above it; both give the same arrays.  is_isomorphic
-tries the first candidate alone and then one block; past that it
-compares the histograms of the flag classes, cycle lengths of five
-words (_flag_classes), and tries only the candidates that send the
-rarest class onto its own.  A pair of maps with equal histograms and
-large classes, such as two flag-transitive maps that are not
-isomorphic, still costs Theta(N^2).
+A system is immutable, so what is derived from it is built once and kept
+in one store in vars(system) (_derived), read-only and never pickled:
+the parity pass (_pot, _parity), the coloring group, the transport plan
+and flag classes of the isomorphism search, the edge list of the
+surgeries (construct._edge_flags) and, per cell dimension, a label pass
+(cell_labels) and a cell route (coloring._cell_pass and _cell_route).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import wraps
 
 import numpy as np
 
@@ -92,31 +70,7 @@ class FlagSystem:
     rank: int
     connections: tuple[np.ndarray, ...]
 
-    @cached_property
-    def _pot(self) -> np.ndarray:
-        """Read-only potentials of one parity pass, flip 1 << j on r_j; may be seeded."""
-        flips = [1 << j for j in range(self.rank + 1)]
-        pot = _orbits(self.flag_count, [(None, c) for c in self.connections], flips)[1]
-        return _freeze(pot, pot.dtype)
-
-    @cached_property
-    def _parity(self) -> tuple[np.ndarray, list[int]]:
-        """(pot, cycle basis) of that parity pass."""
-        flips = [1 << j for j in range(self.rank + 1)]
-        return self._pot, _cycle_basis(self._pot, [(None, c) for c in self.connections], flips)
-
-    @cached_property
-    def _group(self):
-        """coloring.coloring_group's result, derived once from _parity."""
-        from .coloring import _orthogonal_group
-        return _orthogonal_group(self.rank, self._parity[1])
-
-    _labels = cached_property(lambda self: {})  # omit -> cell_labels result
-    _routes = cached_property(lambda self: {})  # (dim, pass) -> coloring._cell_route passes
-    _plan = cached_property(lambda self: _transport_plan(self))  # the isomorphism search's BFS
-    _classes = cached_property(lambda self: _flag_classes(self))  # is_isomorphic's flag invariant
-
-    def __reduce__(self):  # unpickling validates afresh, with empty caches
+    def __reduce__(self):  # unpickling validates afresh, with an empty store
         return validate, (self.rank, self.flag_count, self.connections)
 
     @property
@@ -138,6 +92,47 @@ class FlagSystem:
 
     def __repr__(self) -> str:
         return f"FlagSystem(rank={self.rank}, flags={self.flag_count})"
+
+
+def _key(name: str, at) -> str:
+    """The store's key for name(system, *at), such as "_labels(0)": no attribute name."""
+    return f"{name}({at[0]})" if at else f"{name}()"
+
+
+def _derived(build):
+    """The store's reader of build(system) or build(system, dim): a system's
+    first read builds and keeps (_keep) it; reader.__wrapped__ builds afresh."""
+    name = build.__name__
+    keys = {}  # at -> _key(name, at), formatted once
+
+    @wraps(build)
+    def read(system, *at):
+        key = keys.get(at) or keys.setdefault(at, _key(name, at))
+        kept = vars(system).get(key)
+        return _keep(system, key, build(system, *at)) if kept is None else kept
+    return read
+
+
+def _kept(system: FlagSystem, reader, *at):
+    """What the store keeps for reader(system, *at), or None."""
+    return vars(system).get(_key(reader.__name__, at))
+
+
+def _seed(system: FlagSystem, reader, value, *at):
+    """Keep `value`, made elsewhere, as reader(system, *at) (_keep)."""
+    return _keep(system, _key(reader.__name__, at), value)
+
+
+def _keep(system: FlagSystem, key: str, value):
+    """Keep `value` under `key` unless one is kept; return the kept one.
+    Here alone, arrays in it and its tuples (not lists) become read-only."""
+    parts = [value]
+    for part in parts:  # the loop reaches the parts it appends
+        if part.__class__ is np.ndarray:
+            part.setflags(write=False)
+        elif part.__class__ is tuple:
+            parts += part
+    return vars(system).setdefault(key, value)
 
 
 def _freeze(arr, dtype=np.intp) -> np.ndarray:
@@ -238,6 +233,21 @@ def _cycle_basis(pot: np.ndarray, edges, flips) -> list[int]:
     return basis
 
 
+@_derived
+def _pot(system: FlagSystem) -> np.ndarray:
+    """Potentials of one parity pass, flip 1 << j on r_j; may be seeded."""
+    flips = [1 << j for j in range(system.rank + 1)]
+    return _orbits(system.flag_count, [(None, c) for c in system.connections], flips)[1]
+
+
+@_derived
+def _parity(system: FlagSystem) -> tuple[np.ndarray, list[int]]:
+    """(pot, cycle basis) of that parity pass."""
+    flips = [1 << j for j in range(system.rank + 1)]
+    pot = _pot(system)
+    return pot, _cycle_basis(pot, [(None, c) for c in system.connections], flips)
+
+
 def validate(rank: int, flag_count: int, raw_connections) -> FlagSystem:
     """Check the axioms and return the immutable system.
 
@@ -299,10 +309,10 @@ def _require_connected(conns) -> None:
 
 def _assemble(rank: int, conns, pot=None) -> FlagSystem:
     """The system on `conns`, unchecked: for constructions that provably keep the axioms.
-    `pot`, the potentials of its parity pass when given, seeds FlagSystem._pot."""
+    `pot`, the potentials of its parity pass when given, is seeded as _pot."""
     system = FlagSystem(rank=rank, connections=tuple(_freeze(c) for c in conns))
     if pot is not None:
-        vars(system)["_pot"] = _freeze(pot, pot.dtype)
+        _seed(system, _pot, pot)
     return system
 
 
@@ -314,9 +324,8 @@ def _union(blocks, flips=None):
     list of as many connection arrays, with int flips[j] on the j-th; block b
     holds nodes starts[b] to starts[b + 1] - 1.  Blocks join a pass in order
     while it holds at most _FILL nodes, and a larger block gets a pass of its
-    own: much larger unions run slower.  Each block comes out as a pass of its
-    own (see _orbits), so root and the read-only pot read as one pass over the
-    whole union would give them."""
+    own: much larger unions run slower.  Root and the read-only pot read as
+    one pass over the whole union would give them (see _orbits)."""
     starts = np.cumsum([0] + [len(block[0]) for block in blocks])
     cuts = []
     for b in range(len(blocks)):
@@ -340,26 +349,26 @@ def _union(blocks, flips=None):
 
 
 def _fill_caches(systems) -> None:
-    """Fill cell_labels at dimensions 0 and rank and the parity potentials
-    (FlagSystem._pot) of listed systems of one rank by two _unions: a block per
-    missing (system, dimension d), letters j != d, and per system without
-    potentials, flips 1 << j.  Each block gets a read-only slice; one cumsum
-    numbers the label roots, a block's first node being one.  Caches present
-    are kept; other dimensions and the cycle basis stay lazy."""
+    """Seed cell_labels at dimensions 0 and rank and the parity potentials
+    (_pot) of listed systems of one rank by two _unions: a block per missing
+    (system, dimension d), letters j != d, and per system without potentials,
+    flips 1 << j.  One cumsum numbers the label roots, a block's first node
+    being one.  Results kept already stay; other dimensions and the cycle
+    basis stay lazy."""
     systems = list({id(s): s for s in systems}.values())
     if not systems:
         return
     rank = systems[0].rank
-    todo = [(s, d) for s in systems for d in (0, rank) if d not in s._labels]
+    todo = [(s, d) for s in systems for d in (0, rank) if _kept(s, _labels, d) is None]
     starts, root, _ = _union([[c for j, c in enumerate(s.connections) if j != d] for s, d in todo])
     number = np.cumsum(root == np.arange(root.size)) - 1
-    labels = _freeze(number[root] - np.repeat(number[starts[:-1]], np.diff(starts)))
+    labels = number[root] - np.repeat(number[starts[:-1]], np.diff(starts))
     for (s, d), a, b in zip(todo, starts, starts[1:]):
-        s._labels[d] = labels[a:b], int(number[b - 1] - number[a]) + 1
-    bare = [s for s in systems if "_pot" not in vars(s)]
+        _seed(s, _labels, (labels[a:b], int(number[b - 1] - number[a]) + 1), d)
+    bare = [s for s in systems if _kept(s, _pot) is None]
     starts, _, pot = _union([s.connections for s in bare], [1 << j for j in range(rank + 1)])
     for s, a, b in zip(bare, starts, starts[1:]):
-        vars(s)["_pot"] = pot[a:b]
+        _seed(s, _pot, pot[a:b])
 
 
 @dataclass(frozen=True)
@@ -382,21 +391,24 @@ def cell_labels(system: FlagSystem, omit: int) -> tuple[np.ndarray, int]:
     """Label every flag with the index of its dimension-`omit` cell.
 
     Cells are numbered 0.. in order of their smallest contained flag.
-    Returns (labels array, cell count), cached on the system; labels are read-only.
+    Returns (labels array, cell count), kept by the store; labels are read-only.
     A dimension outside 0..rank raises BadParameters.
     """
-    if omit not in system._labels:
-        if not 0 <= omit <= system.rank:
-            raise BadParameters(f"cell dimension {omit} out of range 0..{system.rank}")
-        letters = [(None, c) for i, c in enumerate(system.connections) if i != omit]
-        system._labels[omit] = _root_labels(_orbits(system.flag_count, letters)[0])
-    return system._labels[omit]
+    return _labels(system, omit)
+
+
+@_derived
+def _labels(system: FlagSystem, omit: int) -> tuple[np.ndarray, int]:
+    if not 0 <= omit <= system.rank:
+        raise BadParameters(f"cell dimension {omit} out of range 0..{system.rank}")
+    letters = [(None, c) for i, c in enumerate(system.connections) if i != omit]
+    return _root_labels(_orbits(system.flag_count, letters)[0])
 
 
 def _root_labels(root: np.ndarray) -> tuple[np.ndarray, int]:
     """Orbits of an _orbits root array numbered 0.. by their smallest node."""
     number = np.cumsum(root == np.arange(root.size)) - 1
-    return _freeze(number[root]), int(number[-1]) + 1
+    return number[root], int(number[-1]) + 1
 
 
 def _has_odd_cell(labels: np.ndarray) -> bool:
@@ -481,36 +493,37 @@ def apply_word(system: FlagSystem, flag: int, word) -> int:
 _LISTED_PLAN = 1280  # N * (rank + 1) below which _transport_plan walks Python lists
 
 
+@_derived
 def _transport_plan(system: FlagSystem):
     """Level-synchronous BFS of the flag graph from flag 0, as a plan for
     filling a transport table whose rows follow the BFS discovery order.
 
-    Returns (row, levels, checks) with read-only intp arrays.  row[f] is
-    the table row of flag f; flag 0 has row 0.  levels lists (rows,
-    parents, offsets), one per BFS level, each level taking the letters
-    in turn: the flags in the row slice `rows` are reached across r_j
-    from the flags in rows `parents`, and offsets holds j * N, the start
-    of r_j in the concatenated connections of a target, as a column.  A
-    flag keeps the first letter that reaches it.  checks lists (rows,
-    ends, j) for every letter j: each edge {f, f . r_j} outside the
-    spanning tree appears once, as the row of its smaller flag f (in
+    Returns (row, levels, checks) with intp arrays, kept by the store.
+    row[f] is the table row of flag f; flag 0 has row 0.  levels lists
+    (rows, parents, offsets), one per BFS level, each level taking the
+    letters in turn: the flags in the row slice `rows` are reached across
+    r_j from the flags in rows `parents`, and offsets holds j * N, the
+    start of r_j in the concatenated connections of a target, as a
+    column.  A flag keeps the first letter that reaches it.  checks lists
+    (rows, ends, j) for every letter j: each edge {f, f . r_j} outside
+    the spanning tree appears once, as the row of its smaller flag f (in
     ascending order) and the row of f . r_j.
 
-    Two builders give the same arrays.  _plan_by_lists walks the
-    connections as Python lists in one pass; _plan_by_arrays makes about
-    19 numpy calls per level and 60 more for the rest.  The lists serve
-    below N * (rank + 1) = _LISTED_PLAN and the arrays from there on.
-    Measured on one core of a Xeon VM, the two cross at N * (rank + 1)
-    of about 1,250-1,450 (420-480 flags at rank 2, about 350 at rank 3):
-    a 48-flag cube takes 49 us by lists and 136 by arrays, tri-torus 8 8
-    (768 flags) 490 and 373, tri-torus 30 30 8.4 ms and 1.6.
+    Two builders give the same arrays: _plan_by_lists below
+    N * (rank + 1) = _LISTED_PLAN and _plan_by_arrays, about 19 numpy
+    calls per level and 60 more, from there on.  Measured on one core of
+    a Xeon VM, the two cross at N * (rank + 1) of about 1,250-1,450
+    (420-480 flags at rank 2, about 350 at rank 3): a 48-flag cube takes
+    49 us by lists and 136 by arrays, tri-torus 8 8 (768 flags) 490 and
+    373, tri-torus 30 30 8.4 ms and 1.6.
     """
     small = system.flag_count * (system.rank + 1) < _LISTED_PLAN
     row, parents, steps, starts, checks = (_plan_by_lists if small else _plan_by_arrays)(system)
-    parents, steps = _freeze(parents), _freeze(steps)
+    parents, steps = np.asarray(parents, np.intp), np.asarray(steps, np.intp)
     levels = tuple((slice(a, b), parents[a - 1:b - 1], steps[a - 1:b - 1, None])
                    for a, b in zip(starts[1:-1], starts[2:]))
-    return _freeze(row), levels, tuple((_freeze(r), _freeze(e), j) for j, (r, e) in enumerate(checks))
+    return (np.asarray(row, np.intp), levels,
+            tuple((np.asarray(r, np.intp), np.asarray(e, np.intp), j) for j, (r, e) in enumerate(checks)))
 
 
 def _plan_by_lists(system: FlagSystem):
@@ -597,11 +610,10 @@ def _isomorphisms(source: FlagSystem, target: FlagSystem, images=None):
 
     `images` lists the candidate images of source flag 0 in ascending
     order (default: every target flag).  A block of candidates is
-    transported along the BFS tree of the source's cached
-    _transport_plan (FlagSystem._plan) into a table with one row per
-    flag, in BFS order, and one column per candidate: each level is one
-    gather from the concatenated target connections into a slice of
-    rows.  Tree edges hold by construction in both directions, since
+    transported along the BFS tree of the source's _transport_plan into
+    a table with one row per flag, in BFS order, and one column per
+    candidate: each level is one gather from the concatenated target
+    connections into a slice of rows.  Tree edges hold by construction in both directions, since
     connections are involutions, so a column is an isomorphism exactly
     when every listed non-tree edge commutes, which one gather per
     letter tests for the whole block.  The image of flag 0 fixes the
@@ -611,7 +623,7 @@ def _isomorphisms(source: FlagSystem, target: FlagSystem, images=None):
     columns, and blocks then double up to about _CHUNK table entries.
     Both systems must have the same rank and flag count.
     """
-    row, levels, checks = source._plan
+    row, levels, checks = _transport_plan(source)
     n = source.flag_count
     tconns = target.connections
     conns = np.concatenate(tconns)
@@ -639,8 +651,9 @@ def _isomorphisms(source: FlagSystem, target: FlagSystem, images=None):
             yield _freeze(table[:, col].copy()[row])
 
 
+@_derived
 def _flag_classes(system: FlagSystem):
-    """Isomorphism-invariant classes of the flags.
+    """Isomorphism-invariant classes of the flags, kept by the store.
 
     A flag's key lists the lengths of its cycles under the Petrie word
     r0 r1 ... rn and, from rank 2, under r1 r2 and r0 r1 (at rank 2, its
@@ -674,7 +687,7 @@ def _flag_classes(system: FlagSystem):
     first[1:] = (table[1:] != table[:-1]).any(axis=1)
     classes = np.zeros(n, dtype=np.intp)
     classes[order] = np.cumsum(first) - 1
-    return table[first], np.diff(np.append(np.flatnonzero(first), n)), _freeze(classes)
+    return table[first], np.diff(np.append(np.flatnonzero(first), n)), classes
 
 
 def is_isomorphic(system: FlagSystem, other: FlagSystem):
@@ -682,15 +695,14 @@ def is_isomorphic(system: FlagSystem, other: FlagSystem):
 
     Of all isomorphisms, the one with the least image of flag 0 is
     returned.  The search tries the flags of `other` in ascending order
-    as the image of flag 0, first one alone and then a block of
-    _FIRST_BLOCK; on a symmetric map the first try is a hit at the cost
-    of one transport of N flags.  After that block it compares the
-    histograms of the flag classes of both maps (_flag_classes) and
-    returns None if they differ.  Otherwise let r be the first flag of
+    as the image of flag 0, in the first two blocks of _isomorphisms.
+    After them it compares the histograms of the flag classes of both
+    maps (_flag_classes) and returns None if they differ.  Otherwise let r be the first flag of
     the rarest class.  Every isomorphism sends r into the class of r in
     `other`, so carrying each flag of that class back along the BFS path
     from r to flag 0 lists every possible image of flag 0, and the
-    search goes on over those alone.
+    search goes on over those alone.  Equal histograms with large
+    classes, as of two flag-transitive maps, still cost Theta(N^2).
     """
     if system.rank != other.rank:
         raise RankMismatch(system.rank, other.rank)
@@ -700,15 +712,15 @@ def is_isomorphic(system: FlagSystem, other: FlagSystem):
     found = next(_isomorphisms(system, other, first), None)
     if found is not None or first.size == system.flag_count:
         return found
-    keys, counts, classes = system._classes
-    other_keys, other_counts, other_classes = other._classes
+    keys, counts, classes = _flag_classes(system)
+    other_keys, other_counts, other_classes = _flag_classes(other)
     if not (np.array_equal(keys, other_keys) and np.array_equal(counts, other_counts)):
         return None
     rarest = int(np.argmin(counts))
     images = np.flatnonzero(other_classes == rarest)
     # carry the candidates for r's image back to candidates for flag 0's image
     # along the BFS tree path from r up to flag 0
-    row, levels, _ = system._plan
+    row, levels, _ = _transport_plan(system)
     at = int(row[np.argmax(classes == rarest)])
     for rows, parents, steps in reversed(levels):
         if at >= rows.start:

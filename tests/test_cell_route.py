@@ -22,7 +22,7 @@ from mapforge import (
 )
 from mapforge import coloring, corpus
 from mapforge.construct import MAKE_GOALS
-from mapforge.flagsys import _cycle_basis, _orbits, _root_labels
+from mapforge.flagsys import _cycle_basis, _kept, _orbits, _parity, _root_labels
 
 
 def _twin(system):
@@ -121,19 +121,23 @@ def test_verify_passes_at_ranks_3_and_4():
 
 def test_route_users_never_read_the_parity_pass():
     """direct_pso, i_face_bipartite and make_property stay a second route
-    to find_coloring and coloring_group, and read neither's cache."""
+    to find_coloring and coloring_group, and read neither's kept result."""
     system = platonic("cube")
+
+    def parity_kept(fresh):
+        return _kept(fresh, _parity) is not None or _kept(fresh, coloring.coloring_group) is not None
+
     for kind in coloring.PSO_KINDS:
         fresh = _twin(system)
         direct_pso(fresh, kind)
-        assert not {"_parity", "_group"} & vars(fresh).keys(), kind
+        assert not parity_kept(fresh), kind
     for i in range(3):
         fresh = _twin(system)
         i_face_bipartite(fresh, i)
-        assert not {"_parity", "_group"} & vars(fresh).keys(), i
+        assert not parity_kept(fresh), i
     for goal in MAKE_GOALS:
         fresh = _twin(system)
         make_property(fresh, goal)
-        assert not {"_parity", "_group"} & vars(fresh).keys(), goal
+        assert not parity_kept(fresh), goal
         # make_property reads pass one of the route only
-        assert all(p == 1 for _, p in vars(fresh).get("_routes", {})), goal
+        assert all(_kept(fresh, coloring._cell_route, d) is None for d in range(3)), goal

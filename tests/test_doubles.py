@@ -101,7 +101,7 @@ def test_double_makes_one_kernel_pass_and_its_group_none(monkeypatch):
             if not result.split:
                 coloring_group(result.system)
                 assert calls == [2 * system.flag_count]
-        assert "_parity" not in vars(system)
+        assert flagsys._kept(system, flagsys._parity) is None
 
 
 def _same_doubles(got, want, where):
@@ -124,7 +124,7 @@ def test_batched_lift_matches_the_one_set_reference():
             double = result.system
             letters = [(None, c) for c in double.connections]
             fresh = flagsys._orbits(double.flag_count, letters, [1 << j for j in range(double.rank + 1)])[1]
-            seeded = vars(double)["_pot"]
+            seeded = flagsys._kept(double, flagsys._pot)
             assert seeded.dtype == fresh.dtype and np.array_equal(seeded, fresh), (name, str(cs))
 
 
@@ -150,7 +150,8 @@ def test_batched_lift_in_chunks_matches_one_pass(monkeypatch, per_pass):
         _same_doubles(got, want, system)
         for a, b in zip(got, want):
             if not a.split:
-                assert np.array_equal(vars(a.system)["_pot"], vars(b.system)["_pot"])
+                assert np.array_equal(flagsys._kept(a.system, flagsys._pot),
+                                      flagsys._kept(b.system, flagsys._pot))
 
 
 def test_no_color_sets_make_no_doubles_and_no_pass(monkeypatch):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mapforge.flagsys as flagsys
 from cases import relabeled
 from mapforge import (
     Cell,
@@ -115,10 +116,19 @@ def test_validate_not_disjoint():
 @pytest.mark.parametrize("dim", [-1, 3, 5])
 def test_a_cell_dimension_out_of_range_raises_and_is_not_cached(dim):
     cube = platonic("cube")
-    for ask in (cell_labels, cells):
+    for ask in (cell_labels, cells, lambda system, d: cell_labels(system, omit=d)):
         with pytest.raises(BadParameters, match=rf"cell dimension {dim} out of range 0\.\.2"):
             ask(cube, dim)
-    assert dim not in cube._labels
+    assert flagsys._kept(cube, flagsys._labels, dim) is None
+
+
+def test_cell_labels_by_keyword_reads_the_same_kept_result():
+    cube = platonic("cube")
+    for dim in range(3):
+        assert flagsys._kept(cube, flagsys._labels, dim) is None
+        kept = cell_labels(cube, omit=dim)
+        assert cell_labels(cube, dim) is kept and cell_labels(cube, omit=dim) is kept
+        assert flagsys._kept(cube, flagsys._labels, dim) is kept
 
 
 def test_validate_disconnected():

@@ -9,6 +9,7 @@ two builders of the transport plan, Python lists below the cutover and
 numpy levels above it, must give the same arrays.
 """
 
+import copy
 import pickle
 from collections import deque
 
@@ -17,10 +18,11 @@ import pytest
 
 import isomorphism_reference as ref
 import mapforge.flagsys as flagsys
-from cases import CORPUS as _CORPUS, DOUBLES, color_sets, relabeled
+from cases import CORPUS as _CORPUS, DOUBLES, color_sets, read_every_kind, relabeled, same_result
 from mapforge import (
     ColorSet,
     cells,
+    cube_maniplex,
     deck_transformations,
     find_coloring,
     grid_map,
@@ -309,12 +311,9 @@ def test_first_candidate_is_probed_alone(monkeypatch):
 
 def test_transport_plan_is_built_once_per_system(monkeypatch):
     built = []
-
-    def spy(system):
-        built.append(system)
-        return _transport_plan(system)
-
-    monkeypatch.setattr(flagsys, "_transport_plan", spy)
+    for name in ("_plan_by_lists", "_plan_by_arrays"):
+        build = getattr(flagsys, name)
+        monkeypatch.setattr(flagsys, name, lambda s, build=build: built.append(s) or build(s))
     cover = i_double(tri_torus(3, 4), ColorSet.of([0], 2)).system
     other = _relabeled(cover, 8)
     assert recognize_i_double(cover, ColorSet.of([0], 2)) is not None
@@ -340,15 +339,23 @@ def _plan_arrays(plan):
 
 
 def test_cached_plan_is_read_only_and_not_pickled():
+    """The kept plan equals a fresh build and is read-only.  No kept result
+    survives pickling or copying: a copy starts with an empty store and
+    reads every kind back equal."""
     large = tri_torus(30, 30)  # planned by arrays; the corpus maps by lists
     for system in CORPUS + [large]:
-        assert system._plan is system._plan
-        assert _plan_lists(system._plan) == _plan_lists(_transport_plan(system))
-        assert all(not a.flags.writeable for a in _plan_arrays(system._plan))
-    for system in (CORPUS[1], large):
-        copy = pickle.loads(pickle.dumps(system))
-        assert "_plan" in vars(system) and "_plan" not in vars(copy)
-        assert _plan_lists(copy._plan) == _plan_lists(system._plan)
+        assert _transport_plan(system) is _transport_plan(system)
+        assert _plan_lists(_transport_plan(system)) == _plan_lists(_transport_plan.__wrapped__(system))
+        assert all(not a.flags.writeable for a in _plan_arrays(_transport_plan(system)))
+    for system in (CORPUS[1], large, cube_maniplex(4)):
+        kept = read_every_kind(system)
+        for twin in (pickle.loads(pickle.dumps(system)), copy.copy(system), copy.deepcopy(system)):
+            assert twin == system and twin is not system
+            assert vars(twin).keys() == {"rank", "connections"}
+            assert all(flagsys._kept(system, *key) is value for key, value in kept)
+            assert all(flagsys._kept(twin, *key) is None for key, _ in kept)
+            for (key, want), (_, got) in zip(kept, read_every_kind(twin)):
+                assert same_result(got, want), key
 
 
 def _rank1_polygon(p):
@@ -362,7 +369,7 @@ def _both_plans(monkeypatch, system):
     plans = []
     for cutover in (0, 1 << 62):
         monkeypatch.setattr(flagsys, "_LISTED_PLAN", cutover)
-        plans.append(_transport_plan(system))
+        plans.append(_transport_plan(_fresh(system)))
     monkeypatch.undo()
     return plans
 
@@ -412,7 +419,7 @@ def _surgeried(base, seed, depth=3):
 
 
 def _fresh(system):
-    """An uncached copy: no plan and no flag classes yet."""
+    """A copy with an empty store: no plan and no flag classes yet."""
     return flagsys._assemble(system.rank, system.connections)
 
 
@@ -473,7 +480,7 @@ def test_different_class_histograms_end_the_search(monkeypatch):
     differ is refused without another transport table."""
     a, b = tri_torus(30, 30), tri_torus(20, 45)
     n = a.flag_count
-    assert not np.array_equal(a._classes[1], b._classes[1])
+    assert not np.array_equal(flagsys._flag_classes(a)[1], flagsys._flag_classes(b)[1])
     shapes = _tables(monkeypatch, lambda: is_isomorphic(_fresh(a), _fresh(b)))
     assert shapes == [(n, 1), (n, flagsys._FIRST_BLOCK)]
 
@@ -484,7 +491,7 @@ def test_a_late_hit_transports_only_the_rarest_class(monkeypatch):
     seed = next(seed for seed in range(20)
                 if is_isomorphic(system, _relabeled(system, seed))[0] > 4 * flagsys._FIRST_BLOCK)
     other = _relabeled(system, seed)
-    rarest = system._classes[1].min()
+    rarest = flagsys._flag_classes(system)[1].min()
     shapes = _tables(monkeypatch, lambda: is_isomorphic(_fresh(system), _fresh(other)))
     assert shapes[:2] == [(n, 1), (n, flagsys._FIRST_BLOCK)]
     assert sum(cols for _, cols in shapes[2:]) <= rarest < 8

@@ -46,8 +46,13 @@ RANK2 = [(name, system) for name, system in CORPUS if system.rank == 2]
 
 
 def fresh(system):
-    """The same connections in a system with empty caches."""
+    """The same connections in a system with an empty store."""
     return FlagSystem(rank=system.rank, connections=system.connections)
+
+
+def kept_dims(system):
+    """The dimensions whose cell labels the store keeps."""
+    return {d for d in range(system.rank + 1) if flagsys._kept(system, flagsys._labels, d) is not None}
 
 
 def same_array(a, b):
@@ -57,14 +62,14 @@ def same_array(a, b):
 def assert_filled_like_own_passes(system):
     own = fresh(system)
     for d in (0, system.rank):
-        labels, count = system._labels[d]
+        labels, count = flagsys._kept(system, flagsys._labels, d)
         want, want_count = cell_labels(own, d)
         assert same_array(labels, want) and count == want_count, d
         assert not labels.flags.writeable
-    pot, want_pot = vars(system)["_pot"], own._pot
+    pot, want_pot = flagsys._kept(system, flagsys._pot), flagsys._pot(own)
     assert same_array(pot, want_pot)
     assert not pot.flags.writeable and not want_pot.flags.writeable
-    assert system._parity[1] == own._parity[1]
+    assert flagsys._parity(system)[1] == flagsys._parity(own)[1]
 
 
 def grown_maps(system):
@@ -123,15 +128,15 @@ def test_one_fill_over_rank_4_doubles_leaves_edges_and_bases_lazy():
     assert {d.rank for d in doubles} == {4} and len({d.flag_count for d in doubles}) == 2
     flagsys._fill_caches([fresh(base)] + doubles)
     for member in doubles:
-        assert "_parity" not in vars(member)
+        assert flagsys._kept(member, flagsys._parity) is None
         assert_filled_like_own_passes(member)
-        assert set(member._labels) == {0, 4}
+        assert kept_dims(member) == {0, 4}
     # make_property returns its input, with the caches its search made, when the goal holds
     edges = [m for base in map(fresh, dict(RANK2[:8]).values()) for m in grown_maps(base)
              if m is not base]
     flagsys._fill_caches(edges)
     for member in edges:
-        assert 1 not in member._labels
+        assert 1 not in kept_dims(member)
         labels, count = cell_labels(member, 1)
         want, want_count = cell_labels(fresh(member), 1)
         assert same_array(labels, want) and count == want_count
@@ -155,20 +160,21 @@ def test_a_rank_13_fill_keeps_16_bit_potentials_and_bases():
     flagsys._fill_caches(batch)
     for member in batch:
         assert_filled_like_own_passes(member)
-        assert member._pot.dtype == np.uint16
-    assert len({tuple(m._parity[1]) for m in batch}) == 3
+        assert flagsys._pot(member).dtype == np.uint16
+    assert len({tuple(flagsys._parity(m)[1]) for m in batch}) == 3
 
 
 def test_fill_keeps_caches_already_present(kernel_calls):
     a, b, c = (fresh(system) for _, system in RANK2[:3])
-    kept = [(a, 2, cell_labels(a, 2)), (c, 0, cell_labels(c, 0)), (c, 2, cell_labels(c, 2)),
-            (b, "_pot", b._pot), (c, "_pot", c._pot)]
+    labels, pot = flagsys._labels, flagsys._pot
+    kept = [(a, (labels, 2), cell_labels(a, 2)), (c, (labels, 0), cell_labels(c, 0)),
+            (c, (labels, 2), cell_labels(c, 2)), (b, (pot,), pot(b)), (c, (pot,), pot(c))]
     kernel_calls.clear()
     flagsys._fill_caches([a, b, c, a])
     # a misses one of dimensions 0 and 2, b both and c none; a misses its parity pass
     assert kernel_calls == [a.flag_count + 2 * b.flag_count, a.flag_count]
     for system, key, value in kept:
-        assert (vars(system) if key == "_pot" else system._labels)[key] is value
+        assert flagsys._kept(system, *key) is value
     for member in (a, b, c):
         assert_filled_like_own_passes(member)
     kernel_calls.clear()
