@@ -32,7 +32,8 @@ import sys
 
 import numpy as np
 
-from .coloring import PSO_KINDS, ColorSet, ColoringGroup, coloring_group, direct_pso, find_coloring
+from .coloring import (
+    PSO_KINDS, ColorSet, ColoringGroup, _pso_roots, coloring_group, direct_pso, find_coloring)
 from .construct import (
     build_map_with_group, connected_sum, double_edge, edge_of, subdivide_edge, triple_edge)
 from .corpus import CorpusSpec, invoke_generator, run_verify
@@ -44,10 +45,10 @@ from .errors import (
     UnknownName,
     ValidationError,
 )
-from .fileio import (
-    _read_text, _row, _write_text, parse_flag_text, read_flag_file, write_flag_text)
+from .fileio import _read_text, _row, _write_text, parse_flag_text, write_flag_text
 from .flagsys import (
     FlagSystem,
+    _parity_roots,
     cell_labels,
     is_isomorphic,
     surface_signature,
@@ -56,14 +57,16 @@ from .flagsys import (
 from .operators import dual, medial, opposite, petrie
 
 
-def _read_system(path: str) -> FlagSystem:
-    if path == "-":
-        try:
-            text = sys.stdin.read()
-        except UnicodeDecodeError as exc:
-            raise FlagFileError(None, None, f"stdin is not UTF-8 text: {exc}") from None
-        return parse_flag_text(text)
-    return read_flag_file(path)
+def _read_system(path: str, first=None) -> FlagSystem:
+    """The system in a flag file, or on stdin for "-".  `first`, when given, is
+    the pass the verb reads next, which validate runs as its connectivity pass."""
+    if path != "-":
+        return parse_flag_text(_read_text(path), _first=first)
+    try:
+        text = sys.stdin.read()
+    except UnicodeDecodeError as exc:
+        raise FlagFileError(None, None, f"stdin is not UTF-8 text: {exc}") from None
+    return parse_flag_text(text, _first=first)
 
 
 def _write_system(system: FlagSystem, path: str | None) -> None:
@@ -113,7 +116,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_info(args) -> int:
-    system = _read_system(args.file)
+    system = _read_system(args.file, _parity_roots)
     group = coloring_group(system)
     if system.rank != 2:
         pairs = [("rank", system.rank), ("flags", system.flag_count)]
@@ -143,7 +146,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_color(args) -> int:
-    system = _read_system(args.file)
+    system = _read_system(args.file, _parity_roots)
     witness = find_coloring(system, ColorSet.parse(args.set, system.rank))
     if witness is None:
         _report(args, [("colorable", False)])
@@ -157,14 +160,14 @@ def cmd_color(args) -> int:
 
 
 def cmd_tgroup(args) -> int:
-    system = _read_system(args.file)
+    system = _read_system(args.file, _parity_roots)
     group = coloring_group(system)
     _report(args, [("T", str(group)), ("size", len(group.masks))])
     return 0
 
 
 def cmd_pso(args) -> int:
-    system = _read_system(args.file)
+    system = _read_system(args.file, functools.partial(_pso_roots, kind=args.kind))
     witness = direct_pso(system, args.kind)
     if witness is None:
         _report(args, [("pseudo_orientable", False), ("kind", args.kind)])

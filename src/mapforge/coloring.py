@@ -387,18 +387,26 @@ def _cell_pass(system: FlagSystem, dim: int):
 
 @_derived
 def _cell_route(system: FlagSystem, dim: int):
-    """(labels, relation, bits, basis) of the dimension-`dim` cells, kept.
+    """(labels, relation, bits, basis, root) of the dimension-`dim` cells, kept.
 
     Pass one (_cell_pass, all that construct._conflicts reads: letters j != dim,
     flip 1 << j) numbers the cells and gives each flag a letter mask ref.  Pass two
     relates the cells of f and f . r_dim by relation[f] = (1 << dim) ^ ref[f] ^
-    ref[f . r_dim] and gives each cell a mask, bits.  Color set I has a coloring, the
+    ref[f . r_dim] and gives each cell a mask, bits, and a root.  Color set I has a coloring, the
     I-parity of ref plus bits, exactly when it meets both passes' cycle bases evenly.
     """
     labels, count, relation, first = _cell_pass(system, dim)
     edges = [(labels, labels[system.connections[dim]])]
-    _, bits, _ = _orbits(count, edges, [relation])
-    return labels, relation, bits, _cycle_basis(*first) + _cycle_basis(bits, edges, [relation])
+    root, bits, _ = _orbits(count, edges, [relation])
+    basis = _cycle_basis(*first) + _cycle_basis(bits, edges, [relation])
+    return labels, relation, bits, basis, root
+
+
+def _pso_roots(system: FlagSystem, kind: str):
+    """validate's connectivity pass for direct_pso(system, kind): at rank 2, the
+    _cell_route of the kind's cells, whose pass-two roots count the components
+    (a cell lies in one); None, for a plain pass, at other ranks."""
+    return _cell_route(system, PSO_KINDS[kind][0])[4] if system.rank == 2 else None
 
 
 def direct_pso(system: FlagSystem, kind: str) -> ArrowAssignment | None:
@@ -417,7 +425,7 @@ def direct_pso(system: FlagSystem, kind: str) -> ArrowAssignment | None:
         raise BadParameters(f"unknown pseudo-orientation kind {kind!r}")
     dim, inner, crossing, flip = PSO_KINDS[kind]
     mask = (1 << inner[0]) | (1 << inner[1]) | flip << crossing
-    _, _, bits, basis = _cell_route(system, dim)
+    bits, basis = _cell_route(system, dim)[2:4]
     if any((c & mask).bit_count() & 1 for c in basis):
         return None
     return ArrowAssignment(kind=kind, cell_dimension=dim, arrows=_bits_in(bits, mask))

@@ -690,13 +690,13 @@ def connected_sum(system: FlagSystem, other: FlagSystem, flag_a: int, flag_b: in
         wa, wb = r1[r0[wa]], r1[r0[wb]]
     keep = np.concatenate([~fa, ~fb])
     new = np.cumsum(keep) - 1
-    conns = [new[conn[keep]] for conn in conns]
+    system = _assemble(2, [new[conn[keep]] for conn in conns])
     try:
-        _require_connected(conns)
+        _require_connected(system)
     except Disconnected as exc:  # a face that meets itself at a vertex can cut the sum apart
         raise FaceSelfAdjacent(
             "a chosen", f"at a vertex, so the sum has {exc.component_count} components") from None
-    return _assemble(2, conns)
+    return system
 
 
 # ---------------------------------------------------------------------------

@@ -124,8 +124,9 @@ def _decode_ahead(ahead: list[tuple[int, str]]) -> list:
     return [pool.submit(_digit_row, raw) if raw.isascii() else None for _, raw in ahead]
 
 
-def parse_flag_text(text: str) -> FlagSystem:
-    """Parse and validate a flag file; raises FlagFileError on bad syntax."""
+def parse_flag_text(text: str, *, _first=None) -> FlagSystem:
+    """Parse and validate a flag file; raises FlagFileError on bad syntax.
+    _first, private, is validate's connectivity pass (see validate)."""
     lines = _significant_lines(text)
     pending = iter(lines)
 
@@ -192,7 +193,7 @@ def parse_flag_text(text: str) -> FlagSystem:
     extra = next(pending, None)
     if extra is not None:
         raise FlagFileError(extra[0], 1, f"trailing content {extra[1].strip()!r}")
-    return validate(rank, count, connections)
+    return validate(rank, count, connections, _first=_first)
 
 
 def _digit_table(top: int) -> np.ndarray:

@@ -103,29 +103,34 @@ def _derived(build):
     """The store's reader of build(system) or build(system, dim): a system's
     first read builds and keeps (_keep) it; reader.__wrapped__ builds afresh."""
     name = build.__name__
-    keys = {}  # at -> _key(name, at), formatted once
+    keys = {}  # at -> _key(name, at), formatted by the reader or _seed before it keeps
 
     @wraps(build)
     def read(system, *at):
         key = keys.get(at) or keys.setdefault(at, _key(name, at))
         kept = vars(system).get(key)
         return _keep(system, key, build(system, *at)) if kept is None else kept
+    read.keys = keys
     return read
 
 
 def _kept(system: FlagSystem, reader, *at):
     """What the store keeps for reader(system, *at), or None."""
-    return vars(system).get(_key(reader.__name__, at))
+    return vars(system).get(reader.keys.get(at))
 
 
 def _seed(system: FlagSystem, reader, value, *at):
     """Keep `value`, made elsewhere, as reader(system, *at) (_keep)."""
-    return _keep(system, _key(reader.__name__, at), value)
+    key = reader.keys.get(at) or reader.keys.setdefault(at, _key(reader.__name__, at))
+    return _keep(system, key, value)
 
 
 def _keep(system: FlagSystem, key: str, value):
     """Keep `value` under `key` unless one is kept; return the kept one.
     Here alone, arrays in it and its tuples (not lists) become read-only."""
+    if value.__class__ is np.ndarray:  # most kept values: nothing to walk
+        value.setflags(write=False)
+        return vars(system).setdefault(key, value)
     parts = [value]
     for part in parts:  # the loop reaches the parts it appends
         if part.__class__ is np.ndarray:
@@ -161,7 +166,8 @@ def _orbits(n: int, edges, flips=None):
     adjacent to a smaller root hooks onto the smallest such root, taking
     its potential from one witness edge, then pointer jumping runs until
     each node points at its root, XOR-ing potentials along every jump.
-    Sweeps repeat until one hooks nothing.  Potentials use the narrowest
+    Sweeps repeat until one hooks nothing, or until one leaves every node on
+    root 0, after which nothing can hook.  Potentials use the narrowest
     unsigned dtype that holds every flip, up to 64 bits.  Over a disjoint
     union, a block that keeps its edges and its nodes' order gets the roots,
     shifted by its first node, and the potentials of a pass of its own.
@@ -207,9 +213,10 @@ def _orbits(n: int, edges, flips=None):
                 if pot is not None:
                     pot ^= pot[parent]
                 parent = grand
-        if not hooked:
+        rounds += bool(hooked)
+        # parent is flat: a last node off root 0 is the cheap sign of more orbits
+        if not hooked or not (parent[-1] or parent.any()):
             return parent, pot, rounds
-        rounds += 1
         hooked = False
 
 
@@ -240,6 +247,15 @@ def _pot(system: FlagSystem) -> np.ndarray:
     return _orbits(system.flag_count, [(None, c) for c in system.connections], flips)[1]
 
 
+def _parity_roots(system: FlagSystem) -> np.ndarray:
+    """validate's connectivity pass for a reader of _pot: _pot's pass, whose
+    potentials it seeds, since flips never steer the kernel's hooks."""
+    flips = [1 << j for j in range(system.rank + 1)]
+    root, pot, _ = _orbits(system.flag_count, [(None, c) for c in system.connections], flips)
+    _seed(system, _pot, pot)
+    return root
+
+
 @_derived
 def _parity(system: FlagSystem) -> tuple[np.ndarray, list[int]]:
     """(pot, cycle basis) of that parity pass."""
@@ -248,11 +264,14 @@ def _parity(system: FlagSystem) -> tuple[np.ndarray, list[int]]:
     return pot, _cycle_basis(pot, [(None, c) for c in system.connections], flips)
 
 
-def validate(rank: int, flag_count: int, raw_connections) -> FlagSystem:
+def validate(rank: int, flag_count: int, raw_connections, *, _first=None) -> FlagSystem:
     """Check the axioms and return the immutable system.
 
     raw_connections is a sequence of rank+1 integer sequences, each of
-    length flag_count, giving the image of every flag under r_i.
+    length flag_count, giving the image of every flag under r_i.  _first,
+    private, is the pass its caller reads next (_parity_roots, _pso_roots):
+    it runs as the connectivity pass, the store keeps what it finds, and the
+    roots it returns count the flag graph's components.
     """
     if rank < 1:
         raise BadParameters(f"rank must be at least 1, got {rank}")
@@ -296,14 +315,18 @@ def validate(rank: int, flag_count: int, raw_connections) -> FlagSystem:
             agree = np.nonzero(ri == rj)[0]
             if agree.size:
                 raise NotDisjoint(i, j, int(agree[0]))
-    _require_connected(conns)
-    return _assemble(rank, conns)
+    system = _assemble(rank, conns)
+    _require_connected(system, _first)
+    return system
 
 
-def _require_connected(conns) -> None:
-    """Raise Disconnected unless one _orbits pass over `conns` finds one orbit."""
-    root, _, _ = _orbits(len(conns[0]), [(None, c) for c in conns])
-    if root.any():  # every root is flag 0 exactly when there is one orbit
+def _require_connected(system: FlagSystem, first=None) -> None:
+    """Raise Disconnected unless every root is node 0: of first(system) or, where
+    that is None, of a plain _orbits pass over the connections (see validate)."""
+    root = first(system) if first else None
+    if root is None:
+        root = _orbits(system.flag_count, [(None, c) for c in system.connections])[0]
+    if root.any():
         raise Disconnected(int(np.count_nonzero(root == np.arange(root.size))))
 
 

@@ -186,7 +186,7 @@ def test_info_makes_one_parity_pass_and_one_label_pass_per_dimension(
     pass, and edges are counted as flags // 4: 2 label passes plus 1
     parity pass on a parsed rank-2 map."""
     system = platonic("cube")
-    monkeypatch.setattr(cli, "_read_system", lambda path: system)
+    monkeypatch.setattr(cli, "_read_system", lambda path, first=None: system)
     calls = []
     kernel = flagsys._orbits
 
