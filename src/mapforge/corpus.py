@@ -10,13 +10,13 @@ is fixed by cell index either way.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import functools
 import json
 import numbers
 import os
 import re
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -637,14 +637,16 @@ def run_verify(spec: CorpusSpec, workers: int | None = None,
 
     Cells are laid out map-major: all checks for corpus map 0, then map 1,
     and so on.  Each map is one task (_run_map), which runs in a process
-    pool when workers > 1; the report is in cell-index order either way.
+    pool of at most one process a map when workers > 1; the report is in
+    cell-index order either way.
     """
     corpus = build_corpus(spec)
     ids = spec.check_ids()
     tasks = ([spec.seed] * len(corpus), range(0, len(corpus) * len(ids), len(ids)),
              [system for _, system in corpus], [ids] * len(corpus))
-    if workers is not None and workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+    workers = min(workers or 1, len(corpus))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_map, *tasks))
     else:
         rows = list(map(_run_map, *tasks))

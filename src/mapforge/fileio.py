@@ -18,19 +18,8 @@ Rows are written by one gather from a table of every value's digits
 Lines are found by str.find, which runs memchr; text that is not ASCII
 or holds another line break of str.splitlines (CR, VT, FF and the
 separators 0x1c-0x1e) is first rejoined by LF, so line numbers are
-those of str.splitlines.  When the rank+1 lines after the header total
-at least _PARALLEL_ROWS characters and more than one core is usable, a
-small thread pool (a thread per usable core, started at first use)
-decodes them with np.fromstring, which releases the GIL, while the
-parser checks each line in order as before and reads the decoded row in
-place of its own call.  It copies the row first: each thread allocates
-in a malloc arena of its own, at the same offsets, and rows read side by
-side from there ran _orbits about 40% slower (cache sets shared).  A
-thread takes only rows of ASCII digits and spaces, which raise no numpy
-warning; every other row is read on the calling thread inside
-warnings.catch_warnings, which is not thread-safe.  So every result and
-every error, with its line and column, is the same.  A child made by
-fork drops the pool, whose threads it lacks, and starts its own.
+those of str.splitlines.  Connection rows are decoded on the calling
+thread by np.fromstring, with a token loop for rows it cannot read.
 """
 
 from __future__ import annotations
@@ -38,7 +27,6 @@ from __future__ import annotations
 import contextlib
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -75,55 +63,6 @@ def _significant_lines(text: str) -> list[tuple[int, str]]:
     return lines
 
 
-# characters in the connection lines from which threads decode them.  On
-# two cores of a Xeon VM, handing rows to the pool costs 0.15-0.2 ms: rows
-# of 118,359 and 140,679 characters in all parse 7-10% slower by threads,
-# 161,079 (tri-torus 30 30) 6% slower to 15% faster from run to run,
-# 464,343 (tri-torus 48 48) 12% faster and tri-torus 60 60 18% faster
-_PARALLEL_ROWS = 200_000
-
-# the row decoders, made at first use (setdefault keeps one if two threads
-# make one at once); a child made by fork has none of its parent's
-# threads, so it makes its own
-_pool: dict = {}
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_pool.clear)
-
-
-def _decoders() -> ThreadPoolExecutor | None:
-    """The pool of row decoders, up to a thread per usable core, each started
-    when a row finds no idle one, so at most one per row; None on one core."""
-    pool = _pool.get("pool")
-    if pool is None:
-        cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                 else os.cpu_count() or 1)
-        if cores < 2:
-            return None
-        pool = _pool.setdefault("pool", ThreadPoolExecutor(cores, "mapforge-rows"))
-    return pool
-
-
-def _digit_row(line: str) -> np.ndarray | None:
-    """np.fromstring of an ASCII line's part after the colon when that is
-    digits and spaces, else None.  Such rows raise no numpy warning, so a
-    thread may read them outside the parser's warnings.catch_warnings,
-    which is not thread-safe."""
-    rest = line.partition(":")[2]
-    if rest.encode("ascii").translate(None, b"0123456789 "):
-        return None
-    return np.fromstring(rest, dtype=np.intp, sep=" ")
-
-
-def _decode_ahead(ahead: list[tuple[int, str]]) -> list:
-    """For each of the lines `ahead`, which the parser reads as connection
-    rows next, a future of its _digit_row, or None where the parser decodes
-    it: ASCII lines go to the pool once they total at least _PARALLEL_ROWS
-    characters and more than one core is usable."""
-    if sum(len(raw) for _, raw in ahead) < _PARALLEL_ROWS or (pool := _decoders()) is None:
-        return [None] * len(ahead)
-    return [pool.submit(_digit_row, raw) if raw.isascii() else None for _, raw in ahead]
-
-
 def parse_flag_text(text: str, *, _first=None) -> FlagSystem:
     """Parse and validate a flag file; raises FlagFileError on bad syntax.
     _first, private, is validate's connectivity pass (see validate)."""
@@ -156,7 +95,6 @@ def parse_flag_text(text: str, *, _first=None) -> FlagSystem:
                             f"flag count must be >= 1, got {count}")
 
     connections = []
-    decoded = _decode_ahead(lines[2:rank + 3])
     # numpy reads "- 0" as one image and a blank row as [0], saturates past
     # int64 and before 2.0 only warns on junk: such rows take the token loop
     with warnings.catch_warnings():
@@ -169,14 +107,8 @@ def parse_flag_text(text: str, *, _first=None) -> FlagSystem:
                                     f"expected connection line 'r{i}: ...', got {raw.strip()!r}")
             row = None
             if "-" not in rest and "+" not in rest and not rest.isspace():
-                if decoded[i] is not None:
-                    row = decoded[i].result()
-                    # each thread allocates in its own malloc arena, at the
-                    # same offsets, so its rows would share cache sets
-                    row = row if row is None else row.copy()
-                if row is None:
-                    with contextlib.suppress(ValueError, Warning):
-                        row = np.fromstring(rest, dtype=np.intp, sep=" ")
+                with contextlib.suppress(ValueError, Warning):
+                    row = np.fromstring(rest, dtype=np.intp, sep=" ")
             if row is None or row.size != count or not row.max() < count:  # unsigned, so >= 0
                 tokens = rest.split()
                 if len(tokens) != count:

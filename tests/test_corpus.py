@@ -293,6 +293,38 @@ def test_run_verify_workers_match_sequential():
     assert sequential == parallel
 
 
+class _InlinePool:
+    """A ProcessPoolExecutor stand-in that records its size and runs tasks here."""
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("spec, workers, sizes", [
+    (SMALL_SPEC, 5000, [8]),
+    (SMALL_SPEC, 3, [3]),
+    (CorpusSpec(generators=("tetrahedron",), surgery_depth=0), 5000, []),
+], ids=["above-the-map-count", "below-it", "one-map"])
+def test_run_verify_starts_at_most_one_process_a_map(monkeypatch, spec, workers, sizes):
+    monkeypatch.setattr(corpus, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    serial, pooled = [], []
+    assert run_verify(spec, emit=serial.append)
+    assert run_verify(spec, workers=workers, emit=pooled.append)
+    assert _InlinePool.sizes == sizes
+    assert serial == pooled
+
+
 def test_run_verify_reports_failures_and_dumps(tmp_path, monkeypatch):
     def broken(system, rng):
         if system.flag_count == 24:

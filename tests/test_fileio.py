@@ -1,5 +1,7 @@
 import itertools
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -162,8 +164,33 @@ def _outcome(parse, text):
                 str(exc))
 
 
-def assert_parses_like_reference(text):
-    assert _outcome(parse_flag_text, text) == _outcome(reference_parse, text)
+def _outcome_on_caller(text, pooled):
+    """_outcome of parse_flag_text, called here or, when `pooled`, on a pool's
+    worker thread, after checking that np.fromstring ran only on that caller."""
+    callers, decoders = set(), set()
+    real = np.fromstring
+
+    def fromstring(*args, **kwargs):
+        decoders.add(threading.get_ident())
+        return real(*args, **kwargs)
+
+    def parse():
+        callers.add(threading.get_ident())
+        return _outcome(parse_flag_text, text)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fileio.np, "fromstring", fromstring)
+        if pooled:
+            with ThreadPoolExecutor(1) as pool:
+                outcome = pool.submit(parse).result()
+        else:
+            outcome = parse()
+    assert decoders <= callers
+    return outcome
+
+
+def assert_parses_like_reference(text, pooled=False):
+    assert _outcome_on_caller(text, pooled) == _outcome(reference_parse, text)
 
 
 EIGHT = "rank 2\nflags 8\nr0: 1 0 3 2 5 4 7 6\nr1: 3 2 1 0 7 6 5 4\nr2: 4 5 6 7 0 1 2 3\n"
@@ -235,9 +262,9 @@ def test_numpy_1x_trailing_junk_warning_is_a_failure(monkeypatch):
     _assert_trailing_junk_fails(monkeypatch, 2)
 
 
-def test_numpy_1x_trailing_junk_warning_is_a_failure_above_the_cutover(monkeypatch):
-    # the rows total 1,457,788 characters, above fileio._PARALLEL_ROWS: a
-    # thread decodes r1 and declines r0, which the parser reads itself
+def test_numpy_1x_trailing_junk_warning_is_a_failure_in_a_large_file(monkeypatch):
+    # the rows total 1,457,788 characters, as many as a 120,000-flag map's:
+    # numpy's warning on r0's junk still sends it to the token loop
     _assert_trailing_junk_fails(monkeypatch, 120_000)
 
 
@@ -279,10 +306,8 @@ def test_array_parser_matches_reference_on_mutated_files(text):
           suppress_health_check=[HealthCheck.too_slow])
 @given(mutated_flag_texts())
 def test_pooled_parser_matches_reference_on_mutated_files(text):
-    # every connection line goes to the decoding threads, where there are two cores
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fileio, "_PARALLEL_ROWS", 0)
-        assert_parses_like_reference(text)
+    # the parser called from a pool's worker decodes every row on that worker
+    assert_parses_like_reference(text, pooled=True)
 
 
 # every line break of str.splitlines but LF, which the parser finds by str.find
@@ -293,9 +318,7 @@ SEPARATORS = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2
 @pytest.mark.parametrize("where", ["header", "between-rows", "inside-row", "end",
                                    "before-trailing-line"])
 @pytest.mark.parametrize("sep", SEPARATORS, ids=ascii)
-def test_line_breaks_parse_like_reference(monkeypatch, sep, where, pooled):
-    if pooled:
-        monkeypatch.setattr(fileio, "_PARALLEL_ROWS", 0)
+def test_line_breaks_parse_like_reference(sep, where, pooled):
     text = {
         "header": EIGHT.replace("rank 2\n", "rank 2" + sep),
         "between-rows": EIGHT.replace("6\nr1:", "6" + sep + "r1:"),
@@ -304,7 +327,7 @@ def test_line_breaks_parse_like_reference(monkeypatch, sep, where, pooled):
         # the trailing line's number shows how the break was counted
         "before-trailing-line": EIGHT + sep + "x" + sep,
     }[where]
-    assert_parses_like_reference(text)
+    assert_parses_like_reference(text, pooled)
 
 
 # --- byte identity at scale ---------------------------------------------
@@ -323,12 +346,25 @@ def _text_of(system):
     lambda: tri_torus(60, 60),
     lambda: grid_map(2, 600, 0),
     lambda: medial(tri_torus(60, 60)),
-], ids=["tri-torus-60-60", "grid-2-600-0", "medial-tri-torus-60-60"])
+    lambda: i_double(tri_torus(60, 60), (0,)).system,
+    lambda: cube_maniplex(5),
+], ids=["tri-torus-60-60", "grid-2-600-0", "medial-tri-torus-60-60",
+        "tri-torus-60-60-double", "cube-maniplex-5"])
 def test_large_maps_write_the_joined_text_and_round_trip(make):
     system = make()
     text = write_flag_text(system)
     assert text == _text_of(system)
-    assert parse_flag_text(text) == system
+    parsed = parse_flag_text(text)
+    assert parsed == system
+    for conn in parsed.connections:
+        assert conn.dtype == np.intp and not conn.flags.writeable
+
+
+def test_large_file_parses_on_the_calling_thread_alone():
+    text = write_flag_text(tri_torus(60, 60))
+    before = threading.enumerate()
+    parse_flag_text(text)
+    assert threading.enumerate() == before
 
 
 def test_sidecar_and_mapping_rows_are_the_joined_text():
