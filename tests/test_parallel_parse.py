@@ -1,18 +1,40 @@
-"""Large damaged flag files parsed like the token-loop reference.
+"""Large flag files parsed here and on a pool's worker thread.
 
-The parser decodes every connection row on the thread that calls it.
-Each damaged copy of a 43,200-flag file must raise the reference's
-error, at the same line and column, whether the parser is called here
-("serial") or from a pool's worker thread ("threads").
+The parser decodes every connection row on the thread that calls it;
+it has no size cutover to a threaded decode any more.  A large file
+must give the same system whether the parser is called here ("serial")
+or from a pool's worker thread ("threads"), and each damaged copy of a
+43,200-flag file must raise the reference's error, at the same line and
+column, either way.
 """
 
 import functools
 
+import numpy as np
 import pytest
 
 from fileio_reference import parse_flag_text as reference_parse
-from mapforge import tri_torus, write_flag_text
-from test_fileio import assert_parses_like_reference
+from mapforge import cube_maniplex, i_double, tri_torus, write_flag_text
+from test_fileio import _outcome_on_caller, assert_parses_like_reference
+
+MAKERS = {
+    "tri-torus-60-60": lambda: tri_torus(60, 60),
+    "tri-torus-60-60-double": lambda: i_double(tri_torus(60, 60), (0,)).system,
+    "cube-maniplex-5": lambda: cube_maniplex(5),
+}
+
+
+@pytest.mark.parametrize("name", list(MAKERS))
+def test_cutover_below_and_above_gives_the_same_system(name):
+    # The name is kept from the removed row-count cutover; the two routes
+    # left to compare are the calling thread and a worker thread.
+    system = MAKERS[name]()
+    text = write_flag_text(system)
+    threads, serial = (_outcome_on_caller(text, pooled) for pooled in (True, False))
+    assert threads == serial == system
+    for a, b in zip(threads.connections, serial.connections):
+        assert a.dtype == b.dtype == np.intp
+        assert not a.flags.writeable and not b.flags.writeable
 
 
 @functools.cache
