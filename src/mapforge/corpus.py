@@ -528,21 +528,24 @@ def _check_surgery_chi(system, rng):
     if system.rank != 2:
         return None
     edge = edge_of(system, int(rng.integers(system.flag_count)))
-    surgeries = (("subdivide", subdivide_edge, 4), ("double", double_edge, 4),
-                 ("triple", triple_edge, 8))
-    grown = _grow(system, lambda s, op: op(s, edge), [op for _, op, _ in surgeries])
+    surgeries = (("subdivide", subdivide_edge, 1, 0), ("double", double_edge, 0, 1),
+                 ("triple", triple_edge, 0, 2))  # vertices, faces added; edges: their sum
+    grown = _grow(system, lambda s, op: op(s, edge), [op for _, op, _, _ in surgeries])
     signature = surface_signature(system)
-    for (name, _, added), result in zip(surgeries, grown):
+    v, f = cell_labels(system, 0)[1], cell_labels(system, 2)[1]
+    for (name, _, dv, df), result in zip(surgeries, grown):
         if isinstance(result, LoopEdge):
             if name != "triple":
                 return f"{name} refused a valid edge"
             continue
         if isinstance(result, Exception):
             raise result
-        if result.flag_count != system.flag_count + added:
+        if result.flag_count != system.flag_count + 4 * (dv + df):
             return f"{name} added {result.flag_count - system.flag_count} flags"
         if surface_signature(result) != signature:
             return f"{name} changed the surface"
+        if (cell_labels(result, 0)[1] - v, cell_labels(result, 2)[1] - f) != (dv, df):
+            return f"{name} did not add {dv} vertices and {df} faces"
     return None
 
 

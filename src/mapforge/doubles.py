@@ -66,25 +66,30 @@ def i_double(system: FlagSystem, color_set) -> DoubleResult:
 
 
 def _i_doubles(system: FlagSystem, color_sets) -> list[DoubleResult]:
-    """i_double of each color set, from one flagsys._union over their lifts.
+    """i_double of each color set, from flagsys._union passes over their lifts.
 
     Flag (f, s) is node 2f + s, r_j flips by 1 << j, and the doubles share
     each letter's two lifts, sheets kept and swapped.  The lift keeps every
-    axiom but connectivity, so a block with two roots has split: its (0, 0)
-    component, the flags (f, c(f)) for the I-coloring c with c(0) = 0, is the
-    input.  A connected block's potentials are seeded as its flagsys._pot.
+    axiom but connectivity, so a block with two roots in its pass has split:
+    its (0, 0) component, the flags (f, c(f)) for the I-coloring c with
+    c(0) = 0, is the input.  A connected block's potentials are kept as its
+    flagsys._pot (_seed) before the next pass is made.
     """
     n2 = 2 * system.flag_count
     ids = np.arange(n2, dtype=np.intp)
     kept = [2 * np.repeat(conn, 2) + (ids & 1) for conn in system.connections]
     lifts = [(c, c ^ 1) for c in kept]
     blocks = [[lift[j in cs] for j, lift in enumerate(lifts)] for cs in color_sets]
-    starts, root, pot = flagsys._union(blocks, [1 << j for j in range(system.rank + 1)])
-    joined = (root.reshape(-1, n2) == starts[:-1, None]).all(axis=1)
+    doubles = []  # each connected double, None where the lift split
+    for i, starts, root, pot in flagsys._union(blocks, [1 << j for j in range(system.rank + 1)]):
+        joined = (root.reshape(-1, n2) == starts[:-1, None]).all(axis=1)
+        for block, a, one in zip(blocks[i:], starts, joined):
+            doubles.append(_assemble(system.rank, block) if one else None)
+            if one:
+                flagsys._seed(doubles[-1], flagsys._pot, pot[a:a + n2])
     half, same = ids // 2, ids[:n2 // 2]  # each result's projection, shared
-    return [DoubleResult(False, _assemble(system.rank, block, pot[a:a + n2]), half) if one
-            else DoubleResult(True, system, same)
-            for block, a, one in zip(blocks, starts, joined)]
+    return [DoubleResult(True, system, same) if double is None
+            else DoubleResult(False, double, half) for double in doubles]
 
 
 def sherk_double(system: FlagSystem) -> FlagSystem:

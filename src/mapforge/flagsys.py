@@ -24,6 +24,8 @@ the parity pass (_pot, _parity), the coloring group, the transport plan
 and flag classes of the isomorphism search, the edge list of the
 surgeries (construct._edge_flags) and, per cell dimension, a label pass
 (cell_labels) and a cell route (coloring._cell_pass and _cell_route).
+_seed is the one way to keep a result made elsewhere: a block of a batched
+_union pass (_fill_caches, doubles._i_doubles) or another reader's pass.
 """
 
 from __future__ import annotations
@@ -330,68 +332,58 @@ def _require_connected(system: FlagSystem, first=None) -> None:
         raise Disconnected(int(np.count_nonzero(root == np.arange(root.size))))
 
 
-def _assemble(rank: int, conns, pot=None) -> FlagSystem:
-    """The system on `conns`, unchecked: for constructions that provably keep the axioms.
-    `pot`, the potentials of its parity pass when given, is seeded as _pot."""
-    system = FlagSystem(rank=rank, connections=tuple(_freeze(c) for c in conns))
-    if pot is not None:
-        _seed(system, _pot, pot)
-    return system
+def _assemble(rank: int, conns) -> FlagSystem:
+    """The system on `conns`, unchecked: for constructions that provably keep the axioms."""
+    return FlagSystem(rank=rank, connections=tuple(_freeze(c) for c in conns))
 
 
 _FILL = 8192  # nodes in one _union pass, unless one block alone is larger
 
 
 def _union(blocks, flips=None):
-    """(starts, root, pot) of _orbits over the disjoint union of `blocks`, each a
-    list of as many connection arrays, with int flips[j] on the j-th; block b
-    holds nodes starts[b] to starts[b + 1] - 1.  Blocks join a pass in order
-    while it holds at most _FILL nodes, and a larger block gets a pass of its
-    own: much larger unions run slower.  Root and the read-only pot read as
-    one pass over the whole union would give them (see _orbits)."""
-    starts = np.cumsum([0] + [len(block[0]) for block in blocks])
+    """Yield (i, starts, root, pot), one _orbits pass at a time, over the disjoint union
+    of `blocks`, each a list of as many connection arrays, with int flips[j] on the j-th:
+    the pass holds blocks i, i + 1, ..., block i + b on its nodes starts[b] to
+    starts[b + 1] - 1.  Blocks join a pass in order while it holds at most _FILL nodes,
+    and a larger block gets a pass of its own: much larger unions run slower.  A block's
+    root slice less its start, and its read-only pot slice, read as a pass of its own."""
+    ends = np.cumsum([0] + [len(block[0]) for block in blocks])
     cuts = []
     for b in range(len(blocks)):
-        if not cuts or starts[b + 1] - starts[cuts[-1]] > _FILL:
+        if not cuts or ends[b + 1] - ends[cuts[-1]] > _FILL:
             cuts.append(b)
-    roots = [np.zeros(0, np.intp)]
-    pots = [None if flips is None else np.zeros(0, np.min_scalar_type(max(flips)))]
     for i, k in zip(cuts, cuts[1:] + [len(blocks)]):
-        a, letters = starts[i], blocks[i]
+        starts, letters = ends[i:k + 1] - ends[i], blocks[i]
         if k - i > 1:  # a lone block is not stacked
-            shift = np.repeat(starts[i:k] - a, np.diff(starts[i:k + 1]))
+            shift = np.repeat(starts[:-1], np.diff(starts))
             letters = [np.concatenate(group) + shift for group in zip(*blocks[i:k])]
-        root, pot, _ = _orbits(int(starts[k] - a), [(None, c) for c in letters], flips)
-        if a:
-            root += a
-        roots.append(root)
-        pots.append(pot)
-    root = roots[-1] if len(roots) == 2 else np.concatenate(roots)
-    pot = pots[-1] if len(pots) == 2 or flips is None else np.concatenate(pots)
-    return starts, root, pot if flips is None else _freeze(pot, pot.dtype)
+        root, pot, _ = _orbits(int(starts[-1]), [(None, c) for c in letters], flips)
+        yield i, starts, root, pot if flips is None else _freeze(pot, pot.dtype)
 
 
 def _fill_caches(systems) -> None:
     """Seed cell_labels at dimensions 0 and rank and the parity potentials
     (_pot) of listed systems of one rank by two _unions: a block per missing
     (system, dimension d), letters j != d, and per system without potentials,
-    flips 1 << j.  One cumsum numbers the label roots, a block's first node
-    being one.  Results kept already stay; other dimensions and the cycle
+    flips 1 << j.  A cumsum per pass numbers its label roots, a block's first
+    node being one.  Results kept already stay; other dimensions and the cycle
     basis stay lazy."""
     systems = list({id(s): s for s in systems}.values())
     if not systems:
         return
     rank = systems[0].rank
     todo = [(s, d) for s in systems for d in (0, rank) if _kept(s, _labels, d) is None]
-    starts, root, _ = _union([[c for j, c in enumerate(s.connections) if j != d] for s, d in todo])
-    number = np.cumsum(root == np.arange(root.size)) - 1
-    labels = number[root] - np.repeat(number[starts[:-1]], np.diff(starts))
-    for (s, d), a, b in zip(todo, starts, starts[1:]):
-        _seed(s, _labels, (labels[a:b], int(number[b - 1] - number[a]) + 1), d)
+    letters = [[c for j, c in enumerate(s.connections) if j != d] for s, d in todo]
+    for i, starts, root, _ in _union(letters):
+        number = np.cumsum(root == np.arange(root.size)) - 1
+        labels = number[root] - np.repeat(number[starts[:-1]], np.diff(starts))
+        for (s, d), a, b in zip(todo[i:], starts, starts[1:]):
+            _seed(s, _labels, (labels[a:b], int(number[b - 1] - number[a]) + 1), d)
     bare = [s for s in systems if _kept(s, _pot) is None]
-    starts, _, pot = _union([s.connections for s in bare], [1 << j for j in range(rank + 1)])
-    for s, a, b in zip(bare, starts, starts[1:]):
-        _seed(s, _pot, pot[a:b])
+    flips = [1 << j for j in range(rank + 1)]
+    for i, starts, _, pot in _union([s.connections for s in bare], flips):
+        for s, a, b in zip(bare[i:], starts, starts[1:]):
+            _seed(s, _pot, pot[a:b])
 
 
 @dataclass(frozen=True)
@@ -489,10 +481,9 @@ def surface_signature(system: FlagSystem) -> SurfaceSignature:
     """Identify the closed surface carrying a rank-2 system."""
     if system.rank != 2:
         raise RankNotTwo(system.rank, "surface_signature")
-    from .coloring import ColorSet, coloring_group
-
     chi = euler_characteristic(system)
-    orientable = ColorSet.full(2) in coloring_group(system)
+    # the full color set is in T(M) exactly when it meets every cycle mask evenly
+    orientable = not any(c.bit_count() & 1 for c in _parity(system)[1])
     if orientable:
         if chi % 2:
             raise OddCharacteristicOrientable(chi)

@@ -19,20 +19,23 @@ import mapforge.coloring as coloring
 import mapforge.construct as construct
 import mapforge.corpus as corpus
 import mapforge.flagsys as flagsys
-from cases import CORPUS
+from cases import CORPUS, DOUBLES
 from mapforge import (
     MAKE_GOALS,
+    ColorSet,
     FlagSystem,
     SurfaceSignature,
     all_subgroups,
     build_map_with_group,
     cell_labels,
+    coloring_group,
     crosscap_map,
     euler_characteristic,
     make_property,
     polygon_gluing,
     random_surgery,
     strip_map,
+    surface_signature,
     validate,
 )
 from mapforge.errors import MapforgeError
@@ -127,6 +130,19 @@ def test_edges_are_a_quarter_of_the_flags_and_chi_matches_fresh_passes():
         assert e == system.flag_count // 4, name
         assert cell_labels(system, 1)[1] == e, name
         assert euler_characteristic(system) == v - e + f, name
+
+
+def test_surface_signature_reads_orientability_off_the_cycle_basis():
+    """surface_signature asks for no coloring group: the full color set is in
+    T(M) exactly when every cycle-basis mask has an even number of letters."""
+    maps = [(name, s) for name, s in CORPUS + DOUBLES if s.rank == 2] + _built()
+    assert len(maps) == 52 * 9 + 169
+    for name, system in maps:
+        fresh = FlagSystem(rank=2, connections=system.connections)
+        orientable = ColorSet.full(2) in coloring_group(fresh)
+        chi = euler_characteristic(fresh)
+        want = SurfaceSignature(orientable, (2 - chi) // 2 if orientable else 2 - chi)
+        assert surface_signature(FlagSystem(rank=2, connections=system.connections)) == want, name
 
 
 def test_euler_characteristic_makes_no_edge_label_pass():

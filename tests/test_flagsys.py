@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -275,3 +278,13 @@ def test_systems_hash_and_compare():
     b = validate(2, 4, CROSSCAP)
     assert a == b and hash(a) == hash(b)
     assert a != validate(2, 4, DIGON)
+
+
+def test_flagsys_imports_nothing_from_the_package_but_errors():
+    """flagsys lies below every other module, so the package has no import cycle."""
+    tree = ast.parse(pathlib.Path(flagsys.__file__).read_text())
+    relative = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
+    absolute = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    absolute += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and not node.level]
+    assert relative == {"errors"}
+    assert not [name for name in absolute if name.split(".")[0] == "mapforge"]

@@ -367,6 +367,21 @@ def test_surgery_chi_messages(monkeypatch):
     assert check(TORUS, np.random.default_rng(0)) == "double refused a valid edge"
 
 
+def test_surgery_chi_tells_a_subdivision_from_a_doubled_edge(monkeypatch):
+    """double_edge in place of subdivide_edge adds the same four flags on the same
+    surface; surgery-chi tells them apart by the vertices and faces added."""
+    monkeypatch.setattr(corpus, "subdivide_edge", double_edge)
+    assert PROPERTY_CHECKS["surgery-chi"](TORUS, np.random.default_rng(0)) == \
+        "subdivide did not add 1 vertices and 0 faces"
+    lines = []
+    spec = corpus.CorpusSpec(generators=("cube", "crosscap 2"), surgery_depth=1,
+                             operations=("surgery-chi",))
+    assert not corpus.run_verify(spec, emit=lines.append)
+    assert lines[-1] == "maps=4 cells=4 failures=4"
+    assert all(line.endswith(": subdivide did not add 1 vertices and 0 faces")
+               for line in lines if line.startswith("FAIL"))
+
+
 @pytest.mark.parametrize("cap", [flagsys._FILL, 0], ids=["batched", "one-at-a-time"])
 def test_surgery_chi_reports_the_first_failure_in_op_order(monkeypatch, cap):
     monkeypatch.setattr(corpus, "_FILL", cap)
