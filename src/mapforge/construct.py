@@ -9,9 +9,9 @@ The surgeries insert degree-2 vertices or parallel edges without
 leaving the surface, and build_map_with_group composes them to realize
 any admissible coloring group on any admissible surface.
 
-The parametrized generators and build_map_with_group work out the flag
-count of what they are asked for before they allocate anything, and
-refuse with BadParameters a map of more than _MAX_FLAGS flags.
+The parametrized generators and build_map_with_group, like doubles and
+medial, count the flags they are asked for before allocating anything,
+and refuse more than flagsys._MAX_FLAGS of them with BadParameters.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .flagsys import (
     FlagSystem,
     SurfaceSignature,
     _assemble,
+    _check_flags,
     _derived,
     _has_odd_cell,
     _require_connected,
@@ -57,8 +58,6 @@ from .flagsys import (
 )
 from .doubles import i_double
 from .operators import dual, dual_color_set
-
-_MAX_FLAGS = 10_000_000
 
 __all__ = [
     "RotationSystem",
@@ -82,11 +81,6 @@ __all__ = [
     "all_subgroups",
     "build_map_with_group",
 ]
-
-
-def _check_flags(flags: int, what: str) -> None:
-    if flags > _MAX_FLAGS:
-        raise BadParameters(f"{what} needs more than the limit of {_MAX_FLAGS} flags")
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +734,7 @@ def build_map_with_group(group, surface: SurfaceSignature) -> FlagSystem:
     Each recipe step is one make_property pass, so every genus works
     and the size grows linearly with it: at most 48 flags per crosscap
     of the non-orientable surface built, doubled for an orientable
-    target.  A surface whose bound exceeds _MAX_FLAGS is refused.
+    target.  A surface whose bound exceeds flagsys._MAX_FLAGS is refused.
     Postconditions are re-verified before returning.
     """
     if not isinstance(group, ColoringGroup):

@@ -3,9 +3,9 @@
 The verify harness generates a deterministic family of maps from a
 CorpusSpec, runs every requested check on every map, and reports
 pass/fail counts per check.  Checks are pure functions of a map plus a
-seeded generator.  One task runs every check of one map, sharing its
-I-doubles, and tasks go to worker processes one map each; output order
-is fixed by cell index either way.
+seeded generator.  One task runs every check of one map, sharing that
+map's I-doubles and keeping no other double, and tasks go to worker
+processes one map each; output order is fixed by cell index either way.
 """
 
 from __future__ import annotations
@@ -396,23 +396,18 @@ def _check_medial_table(system, rng):
     return None
 
 
-# inside _run_map: the map under test, and (id(system), mask) -> (system, double);
-# holding the system pins its id
+# inside _run_map: the map under test, and once asked, its doubles by mask
 _map = None
-_doubles: dict | None = None
+_doubles: list | None = None
 
 
 def _double(system, member):
-    """i_double, built once per (system, color set) among one map's checks.
-    A miss on the map under test builds its doubles by every color set at once."""
-    if _doubles is None:
+    """i_double, kept only for the map under test, whose first ask builds them all."""
+    if system is not _map:
         return i_double(system, member)
-    key = (id(system), member.mask)
-    if key not in _doubles:
-        sets = _all_color_sets(system.rank) if system is _map else [member]
-        for cs, result in zip(sets, _i_doubles(system, sets)):
-            _doubles[id(system), cs.mask] = system, result
-    return _doubles[key][1]
+    global _doubles
+    _doubles = _doubles or _i_doubles(system, _all_color_sets(system.rank))
+    return _doubles[member.mask]
 
 
 def _check_dubgp(system, rng):
@@ -622,7 +617,7 @@ class _LazyGenerator:
 def _run_map(seed, first_index, system, ids):
     """Run every check of one map in order, sharing one memo of its doubles."""
     global _doubles, _map
-    _doubles, _map, details = {}, system, []
+    _doubles, _map, details = None, system, []
     try:
         for index, check_id in enumerate(ids, first_index):
             try:

@@ -69,16 +69,18 @@ def _i_doubles(system: FlagSystem, color_sets) -> list[DoubleResult]:
     """i_double of each color set, from flagsys._union passes over their lifts.
 
     Flag (f, s) is node 2f + s, r_j flips by 1 << j, and the doubles share
-    each letter's two lifts, sheets kept and swapped.  The lift keeps every
-    axiom but connectivity, so a block with two roots in its pass has split:
-    its (0, 0) component, the flags (f, c(f)) for the I-coloring c with
-    c(0) = 0, is the input.  A connected block's potentials are kept as its
-    flagsys._pot (_seed) before the next pass is made.
+    each letter's lifts, sheets kept and, if some set crosses the letter,
+    swapped.  The lift keeps every axiom but connectivity, so a block with
+    two roots in its pass has split: its (0, 0) component, the flags (f, c(f))
+    for the I-coloring c with c(0) = 0, is the input.  A connected block's
+    potentials are kept as its flagsys._pot (_seed) before the next pass.
     """
     n2 = 2 * system.flag_count
+    flagsys._check_flags(n2, f"doubling a system of {system.flag_count} flags")
     ids = np.arange(n2, dtype=np.intp)
     kept = [2 * np.repeat(conn, 2) + (ids & 1) for conn in system.connections]
-    lifts = [(c, c ^ 1) for c in kept]
+    crossed = {j for cs in color_sets for j in cs.indices}
+    lifts = [(c, c ^ 1 if j in crossed else c) for j, c in enumerate(kept)]
     blocks = [[lift[j in cs] for j, lift in enumerate(lifts)] for cs in color_sets]
     doubles = []  # each connected double, None where the lift split
     for i, starts, root, pot in flagsys._union(blocks, [1 << j for j in range(system.rank + 1)]):

@@ -332,6 +332,14 @@ def _require_connected(system: FlagSystem, first=None) -> None:
         raise Disconnected(int(np.count_nonzero(root == np.arange(root.size))))
 
 
+_MAX_FLAGS = 10_000_000  # the most flags a generator, a double or medial builds
+
+
+def _check_flags(flags: int, what: str) -> None:
+    if flags > _MAX_FLAGS:
+        raise BadParameters(f"{what} needs more than the limit of {_MAX_FLAGS} flags")
+
+
 def _assemble(rank: int, conns) -> FlagSystem:
     """The system on `conns`, unchecked: for constructions that provably keep the axioms."""
     return FlagSystem(rank=rank, connections=tuple(_freeze(c) for c in conns))

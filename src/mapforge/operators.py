@@ -13,7 +13,7 @@ import numpy as np
 
 from .coloring import ColorSet
 from .errors import BadParameters, RankNotTwo
-from .flagsys import FlagSystem, _assemble, validate
+from .flagsys import FlagSystem, _assemble, _check_flags, validate
 
 __all__ = [
     "dual",
@@ -70,6 +70,7 @@ def medial(system: FlagSystem) -> FlagSystem:
     if system.rank != 2:
         raise RankNotTwo(system.rank, "medial")
     n = system.flag_count
+    _check_flags(2 * n, f"the medial of a system of {n} flags")
     r0, r1, r2 = system.connections
     ids = np.arange(2 * n, dtype=np.intp)
     s0 = 2 * np.repeat(r1, 2) + (ids & 1)

@@ -549,6 +549,38 @@ def test_maps_over_the_size_limit_are_refused_before_allocating(run, argv):
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize("argv", [("double", "-I", "0"), ("medial",)], ids=lambda argv: argv[0])
+def test_doubles_and_medials_over_the_size_limit_are_refused(run, monkeypatch, cube_file, argv):
+    monkeypatch.setattr(flagsys, "_MAX_FLAGS", 95)  # the cube has 48 flags
+    code, out, err = run(argv[0], cube_file, *argv[1:])
+    assert code == 1
+    assert out == ""
+    what = "doubling a system" if argv[0] == "double" else "the medial of a system"
+    assert err == f"error: {what} of 48 flags needs more than the limit of 95 flags\n"
+
+
+def test_verify_fails_a_double_over_the_size_limit_and_goes_on(run, monkeypatch, tmp_path):
+    """The dodecahedron's doubles have 240 flags, its saturation chain and
+    minimality's redouble 480; the tetrahedron's never pass 96."""
+    monkeypatch.setattr(flagsys, "_MAX_FLAGS", 300)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({
+        "generators": ["dodecahedron", "tetrahedron"], "surgery_depth": 0,
+        "operations": ["dubgp", "saturation", "minimality", "axioms"]}))
+    code, out, err = run("verify", "--corpus", str(spec_path))
+    assert (code, err) == (1, "")
+    refused = "BadParameters: doubling a system of 240 flags needs more than the limit of 300 flags"
+    assert out.splitlines() == [
+        f"FAIL saturation [dodecahedron]: {refused}",
+        f"FAIL minimality [dodecahedron]: {refused}",
+        "dubgp pass=2 fail=0",
+        "saturation pass=1 fail=1",
+        "minimality pass=1 fail=1",
+        "axioms pass=2 fail=0",
+        "maps=2 cells=8 failures=2",
+    ]
+
+
 VERIFY_SPEC = {"generators": ["tetrahedron", "crosscap 2"],
                "surgery_depth": 1, "operations": ["axioms", "tgroup"]}
 

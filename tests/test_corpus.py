@@ -27,7 +27,9 @@ from mapforge import (
     tri_torus,
     write_flag_file,
 )
+from mapforge.doubles import DoubleResult
 from mapforge.errors import BadParameters, FlagFileError, UnknownName
+from mapforge.flagsys import _assemble
 
 
 def test_invoke_generator_names():
@@ -365,7 +367,8 @@ def _patch_batches(monkeypatch, spy):
 
 
 def test_run_verify_builds_each_double_once(monkeypatch):
-    """The cover checks of one map share each (system, color set) double."""
+    """The cover checks of one map share its doubles, built by one call, and
+    no other (system, color set) double is asked for twice."""
     built, held, batches = collections.Counter(), [], []
 
     def counting(system, color_sets, results):
@@ -406,6 +409,71 @@ def test_no_double_outlives_its_map(monkeypatch):
     assert PROPERTY_CHECKS["dubgp"](platonic("cube"), None) is None
     gc.collect()
     assert len(doubles) == 8 and all(ref() is None for ref in doubles)
+
+
+def test_the_memo_keeps_only_the_doubles_of_the_map_under_test(monkeypatch):
+    """After saturation and minimality on cube-maniplex 5, the memo holds the
+    32 doubles of one batch on the map, and every double of another system,
+    saturation's chain and minimality's redouble, is gone."""
+    system, batches, others, seen = cube_maniplex(5), [], [], []
+
+    def watched(source, color_sets, results):
+        if source is system:
+            batches.append(results)
+        else:
+            others.extend(weakref.ref(r) for result in results for r in (result, result.system))
+
+    def probe(_, rng):
+        gc.collect()
+        seen.append((corpus._doubles, [ref() for ref in others]))
+        return None
+
+    _patch_batches(monkeypatch, watched)
+    monkeypatch.setitem(PROPERTY_CHECKS, "probe", probe)
+    assert corpus._run_map(0, 0, system, ("saturation", "minimality", "probe")) == [None] * 3
+    ((memo, alive),), (kept,) = seen, batches
+    assert len(others) >= 8 and alive == [None] * len(others)
+    assert len(kept) == 32 and memo is kept
+    assert {result.system.flag_count for result in memo} <= {3840, 7680}
+    assert corpus._doubles is None
+
+
+def test_a_planted_double_defect_fails_its_check(monkeypatch):
+    """corpus.i_double builds saturation's chain and minimality's redouble:
+    a double that crosses no letter stops the chain short of the power set,
+    and one that numbers flag (f, s) as s * N + f, projecting it onto f as
+    if it were 2f + s, cannot be projected onto the double it came from.
+    A split redouble is the double itself, so minimality sees the second
+    defect only on maps whose drawn redouble is connected, as both are here."""
+    real = corpus.i_double
+
+    def crossing_nothing(system, member):
+        return real(system, ColorSet.empty(system.rank))
+
+    def sheet_major(system, member):
+        result = real(system, member)
+        if result.split:
+            return result
+        ids = np.arange(result.system.flag_count)
+        moved = ids % 2 * system.flag_count + ids // 2  # old number -> new
+        conns = [np.empty_like(moved) for _ in result.system.connections]
+        for conn, old in zip(conns, result.system.connections):
+            conn[moved] = moved[old]
+        return DoubleResult(False, _assemble(system.rank, conns), result.projection)
+
+    spec = CorpusSpec(generators=("polygon aabcBC", "strip 2 1 0"), surgery_depth=0,
+                      operations=("axioms", "saturation", "minimality"))
+    assert run_verify(spec, emit=lambda line: None)
+    for defect, failing, message in [
+            (crossing_nothing, "saturation", "chain of singleton doubles did not reach the full power set"),
+            (sheet_major, "minimality", "no sheet assignment projects the iterated double onto the double")]:
+        monkeypatch.setattr(corpus, "i_double", defect)
+        lines = []
+        assert not run_verify(spec, emit=lines.append)
+        assert lines[:2] == [f"FAIL {failing} [{name}]: {message}" for name in spec.generators]
+        tally = dict.fromkeys(spec.operations, "pass=2 fail=0") | {failing: "pass=0 fail=2"}
+        assert lines[2:] == [f"{check_id} {t}" for check_id, t in tally.items()] + [
+            "maps=2 cells=6 failures=2"]
 
 
 def test_cell_generators_are_built_on_first_draw(monkeypatch):

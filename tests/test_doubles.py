@@ -1,3 +1,6 @@
+import tracemalloc
+import types
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from mapforge import (
     grid_map,
     i_double,
     is_isomorphic,
+    medial,
     platonic,
     polygon_gluing,
     quotient,
@@ -161,6 +165,28 @@ def test_no_color_sets_make_no_doubles_and_no_pass(monkeypatch):
     cube = platonic("cube")
     monkeypatch.setattr(flagsys, "_orbits", unused)
     assert _i_doubles(cube, []) == []
+
+
+def test_a_double_swaps_sheets_only_for_the_letters_it_crosses():
+    """Besides its pass, a {0}-double of a rank-4 map holds its five kept
+    lifts and one swapped lift, 2N words each: under 14.5 words a node at
+    its peak, where a swapped lift for every letter reached 17."""
+    system = cube_maniplex(5)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        (result,) = _i_doubles(system, [ColorSet.of((0,), system.rank)])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert result.split and peak < 14.5 * 8 * 2 * system.flag_count
+
+
+def test_doubles_and_medials_over_the_size_limit_are_refused_before_allocating():
+    big = types.SimpleNamespace(rank=2, flag_count=5_000_001, connections=None)
+    for build in (lambda: _i_doubles(big, [ColorSet.of((0,), 2)]), lambda: medial(big)):
+        with pytest.raises(BadParameters, match="of 5000001 flags needs more than the limit of 10000000 flags"):
+            build()
 
 
 def test_split_double_is_isomorphic_to_base():
